@@ -140,11 +140,16 @@ def _weighted_sum(weights, phases):
     return np.exp(-2j * np.pi * phases) @ weights
 
 
+def _order1_phase(phase: PhaseData, t, shift_hyp):
+    """Linear phase (mod 1) per unit offset at t + shift_hyp * T_hyp."""
+    lin_shift, _ = _shift_parts(phase, shift_hyp, 0)
+    return _wrap_unit(t / phase.t_hyp + lin_shift)
+
+
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    lin_shift, _ = _shift_parts(phase, shift_hyp, 0)
-    u = _wrap_unit(t / phase.t_hyp + lin_shift)
+    u = _order1_phase(phase, t, shift_hyp)
     return _weighted_sum(packet.weights, np.outer(u, packet.offsets))
 
 
@@ -281,18 +286,26 @@ class FractionalComparison:
 
 
 def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
-    """Compare sum_k b~_k a1(t + T_hyp(k/ell + p N_h/q)) with a2(t + (p/q) N_h T_hyp)."""
+    """Compare sum_k b~_k a1(t + T_hyp(k/ell + p N_h/q)) with a2(t + (p/q) N_h T_hyp).
+
+    The clone sum is one weighted sum: exp(-2 pi i (u + k/ell) n) factors
+    into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
+    fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), with k n
+    reduced modulo ell in integers.
+    """
     from .gausssum import coefficients, periodicity_set
 
     ell = periodicity_set(p, q).generator
     coeffs = coefficients(p, q, int(packet.center))
-    n_h = phase.n_h
+    base_shift = Fraction(p * phase.n_h, q)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    clone = np.zeros(len(t), dtype=complex)
-    for k in range(ell):
-        shift = Fraction(k, ell) + Fraction(p * n_h, q)
-        clone += coeffs.phased[k] * order1_series(packet, phase, t, shift_hyp=shift)
-    shifted = order2_series(packet, phase, t, shift_hyp=Fraction(p * n_h, q))
+    offs = packet.offsets
+    unit_roots = np.exp(-2j * np.pi * np.arange(ell) / ell)
+    modes = unit_roots[np.outer(np.arange(ell), offs % ell) % ell]
+    weights = packet.weights * (coeffs.phased @ modes)
+    u = _order1_phase(phase, t, base_shift)
+    clone = _weighted_sum(weights, np.outer(u, offs))
+    shifted = order2_series(packet, phase, t, shift_hyp=base_shift)
     sup = float(np.max(np.abs(clone - shifted)))
     return FractionalComparison(
         p=p, q=q, ell=ell, clone_sum=clone, shifted_order2=shifted,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import bisect
 
 from .dynamics import PhaseData
 from .errors import (
@@ -71,6 +70,42 @@ def build_action_table(
     table = ActionTable(delta=delta, plus=cheb_p, minus=cheb_m)
     _TABLE_CACHE[key] = table
     return table
+
+
+# scipy.optimize.bisect's tolerances and iteration cap, as used for every root
+BISECT_XTOL, BISECT_RTOL, BISECT_MAXITER = 1e-15, 8.9e-16, 100
+
+
+def _bisect_lockstep(func, xa, xb, fa, fb, targets):
+    """Roots of func(x) = targets, one per bracket [xa, xb], bisected together.
+
+    Each step is scipy.optimize.bisect's update applied to every open
+    bracket, with one vector evaluation of func, so every root is the one
+    scipy returns for its bracket alone.  fa and fb are func - targets at
+    the bracket ends; only the sign of fa is used past the first test.
+    """
+    roots = np.where(fa == 0.0, xa, xb)
+    open_ = np.nonzero((fa != 0.0) & (fb != 0.0))[0]
+    xa, fa, targets = xa[open_], fa[open_], targets[open_]
+    dm = xb[open_] - xa
+    for _ in range(BISECT_MAXITER):
+        if len(open_) == 0:
+            break
+        dm = 0.5 * dm
+        xm = xa + dm
+        fm = func(xm) - targets
+        if np.any(np.isnan(fm)):
+            raise NumericalError("quantization phase is NaN inside a root bracket")
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < BISECT_XTOL + BISECT_RTOL * np.abs(xm))
+        roots[open_[done]] = xm[done]
+        keep = ~done
+        open_, xa, fa, dm, targets = open_[keep], xa[keep], fa[keep], dm[keep], targets[keep]
+    if len(open_):
+        raise NumericalError(
+            f"{len(open_)} quantization roots still open after {BISECT_MAXITER} bisections"
+        )
+    return roots
 
 
 @dataclass(frozen=True)
@@ -155,6 +190,14 @@ class SpectralModel:
             self._deriv_cache[key] = self.table.derivative(side, order)
         return self._deriv_cache[key]
 
+    def _lobe_sum(self, order: int, energy):
+        """Sum of the two lobe actions' order-th derivatives at the energies."""
+        plus = self._action_deriv(+1, order)(energy)
+        if self.potential.even:
+            # both lobes share one fit: a + a == 2a exactly
+            return 2.0 * plus
+        return plus + self._action_deriv(-1, order)(energy)
+
     def _check_domain(self, lam, extended: bool):
         lam = np.asarray(lam, dtype=float)
         if extended:
@@ -175,10 +218,7 @@ class SpectralModel:
     def f_h(self, lam, extended: bool = False):
         lam = self._check_domain(lam, extended)
         y = self.epsilon_over_h(lam)
-        theta_sum = (
-            self._action_deriv(+1, 0)(lam * self.h)
-            + self._action_deriv(-1, 0)(lam * self.h)
-        ) / (2.0 * self.h)
+        theta_sum = self._lobe_sum(0, lam * self.h) / (2.0 * self.h)
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
     def g_h(self, lam, extended: bool = False):
@@ -298,14 +338,7 @@ class SpectralModel:
     def _phase_derivative(self, lam, order: int, sign: float, extended: bool):
         lam = self._check_domain(lam, extended)
         h = self.h
-        theta_sum_d = (
-            (
-                self._action_deriv(+1, order)(lam * h)
-                + self._action_deriv(-1, order)(lam * h)
-            )
-            * h ** (order - 1)
-            / 2.0
-        )
+        theta_sum_d = self._lobe_sum(order, lam * h) * h ** (order - 1) / 2.0
         out = -theta_sum_d + self._arg_gamma_derivative(lam, order)
         if order == 1:
             out = out + self.lnh / self.w
@@ -333,20 +366,21 @@ class SpectralModel:
                 "sampled quantization phase is not strictly monotone"
             )
         lo, hi = float(min(fv[0], fv[-1])), float(max(fv[0], fv[-1]))
-        k_lo = int(np.ceil(lo / TWO_PI))
-        k_hi = int(np.floor(hi / TWO_PI))
-        roots: dict[int, float] = {}
-        for k in range(k_lo, k_hi + 1):
-            target = TWO_PI * k
-            hits = np.nonzero((fv[:-1] - target) * (fv[1:] - target) <= 0.0)[0]
-            if len(hits) == 0:
-                raise RootBracketError(f"could not bracket the k={k} root")
-            a, b = float(grid[hits[0]]), float(grid[hits[0] + 1])
-            roots[k] = float(
-                bisect(lambda t: float(func(np.array([t]))[0]) - target, a, b,
-                       xtol=1e-15, rtol=8.9e-16)
-            )
-        return roots
+        ks = np.arange(int(np.ceil(lo / TWO_PI)), int(np.floor(hi / TWO_PI)) + 1)
+        targets = TWO_PI * ks
+        # first sample interval [i, i+1] with the target between its ends,
+        # the left one when the target equals a sample exactly
+        rising = fv[-1] > fv[0]
+        up, t_up = (fv, targets) if rising else (-fv, -targets)
+        first = np.searchsorted(up, t_up, side="left")
+        missing = (first == len(fv)) | (up[0] > t_up)
+        if np.any(missing):
+            k = int(ks[np.argmax(missing)])
+            raise RootBracketError(f"could not bracket the k={k} root")
+        i = np.maximum(first - 1, 0)
+        lams = _bisect_lockstep(func, grid[i], grid[i + 1],
+                                fv[i] - targets, fv[i + 1] - targets, targets)
+        return {int(k): float(lam) for k, lam in zip(ks, lams)}
 
     def solve_families(self) -> SpectrumWindow:
         """Enumerate both families inside the window [-h, h]."""
@@ -411,10 +445,6 @@ class SpectralModel:
 def select_alpha_near(roots: dict[int, float], lam_target: float) -> int:
     """Index of the ladder root nearest the target lambda."""
     return min(roots, key=lambda k: abs(roots[k] - lam_target))
-
-
-def window_counts(window: SpectrumWindow) -> tuple[int, int]:
-    return len(window.alphas), len(window.betas)
 
 
 def interleaving_violations(window: SpectrumWindow) -> int:

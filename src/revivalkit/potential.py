@@ -7,8 +7,8 @@ regularized action integrals of the two lobes of the level sets.
 
 from __future__ import annotations
 
+import functools
 import math
-
 from dataclasses import dataclass
 from typing import Callable
 
@@ -210,9 +210,9 @@ def turning_points(potential: Potential, energy: float, side: int) -> tuple[floa
     # inner turning point sits near sqrt(2|E|)/w; start the scan below it
     start = 1e-12 if energy >= 0.0 else min(1e-12, 5e-3 * math.sqrt(abs(energy)))
     xs = side * np.geomspace(start, L, 2048)
-    vals = np.array([f(x) for x in xs])
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    # a sample with V = E exactly counts as inside, so + 0 - still flips once
+    inside = np.asarray(potential.evaluate(xs), dtype=float) - energy <= 0.0
+    flips = np.nonzero(inside[:-1] != inside[1:])[0]
     if energy >= 0.0:
         if len(flips) < 1 or f(0.0) > 0.0:
             raise TopologyError(
@@ -230,6 +230,15 @@ def turning_points(potential: Potential, energy: float, side: int) -> tuple[floa
     return lo, hi
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[Array, Array]:
+    """Gauss-Jacobi nodes and weights, computed once per rule and read-only."""
+    u, wgt = roots_jacobi(n, alpha, beta)
+    u.flags.writeable = False
+    wgt.flags.writeable = False
+    return u, wgt
+
+
 def _sqrt_weighted_integral(
     integrand_sq: Callable[[Array], Array],
     a: float,
@@ -244,7 +253,7 @@ def _sqrt_weighted_integral(
     (b-x)^(2*right_power) at b; the zeros are absorbed into a
     Gauss-Jacobi rule so the quadrature sees a smooth factor.
     """
-    u, wgt = roots_jacobi(n, right_power, left_power)
+    u, wgt = _jacobi_rule(n, right_power, left_power)
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
     x = mid + rad * u
     weight = (1.0 - u) ** (2.0 * right_power) * (1.0 + u) ** (2.0 * left_power)

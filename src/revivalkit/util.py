@@ -31,8 +31,3 @@ def linear_fit(x, y) -> FitResult:
         max_abs_residual=float(np.max(np.abs(resid))),
     )
 
-
-def loglog_slope(x, y) -> float:
-    """Slope of log(y) against log(x)."""
-    return linear_fit(np.log(np.asarray(x, dtype=float)),
-                      np.log(np.asarray(y, dtype=float))).slope

@@ -29,7 +29,9 @@ from revivalkit.errors import (
     SupportError,
     TimeScaleError,
 )
-from revivalkit.packet import BumpProfile, PacketSpec, build_coefficients
+from revivalkit.gausssum import coefficients
+from revivalkit.model import SpectralModel
+from revivalkit.packet import BumpProfile, PacketSpec, build_coefficients, select_centers
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,35 @@ class TestFractional:
         for p, q in ((1, 2), (1, 3), (2, 3), (1, 4)):
             cmp = fractional_prediction(pk, ph, p, q, t)
             assert cmp.sup_difference <= 1e-10
+
+    @pytest.mark.parametrize("source", ["model", "synthetic"])
+    def test_factored_clone_sum_matches_direct_sum(self, quartic, action_table, source):
+        # the direct sum shifts order1_series once per clone index k; the
+        # factored sum folds the clone coefficients into the weights
+        m = SpectralModel(quartic, 1e-6, table=action_table)
+        window = m.solve_families()
+        n0, _ = select_centers(window, -0.5)
+        spec = PacketSpec(energy=-0.5, gamma=0.3, gamma_prime=0.8, h=1e-6)
+        ladder = m.solve_ladder(window.alpha_lambdas[n0], n_side=20)
+        pk = build_coefficients(spec, n0, index_set=ladder.keys())
+        if source == "model":
+            ph = m.phase_data(ladder, n0)  # float ratio, float shifts
+        else:
+            ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**40 + 3, theta=Fraction(2, 7))
+        t = np.linspace(0.0, 2.0 * abs(ph.t_hyp), 257)
+        for q in range(1, 13):
+            for p in range(1, q + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                cmp = fractional_prediction(pk, ph, p, q, t)
+                b = coefficients(p, q, int(pk.center)).phased
+                direct = sum(
+                    b[k] * order1_series(
+                        pk, ph, t, shift_hyp=Fraction(k, cmp.ell) + Fraction(p * ph.n_h, q)
+                    )
+                    for k in range(cmp.ell)
+                )
+                assert np.max(np.abs(cmp.clone_sum - direct)) <= 1e-12, (p, q)
 
 
 class TestPeaks:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
 from revivalkit.errors import DomainError
 from revivalkit.model import (
@@ -15,6 +16,22 @@ from revivalkit.packet import select_centers
 from revivalkit.util import linear_fit
 
 TWO_PI = 2.0 * math.pi
+
+
+def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
+    """Reference root solver: one scipy.optimize.bisect per first bracket hit."""
+    grid = np.linspace(lam_lo, lam_hi, n_grid)
+    fv = func(grid)
+    lo, hi = min(fv[0], fv[-1]), max(fv[0], fv[-1])
+    roots = {}
+    for k in range(math.ceil(lo / TWO_PI), math.floor(hi / TWO_PI) + 1):
+        target = TWO_PI * k
+        i = np.nonzero((fv[:-1] - target) * (fv[1:] - target) <= 0.0)[0][0]
+        roots[k] = bisect(
+            lambda t: float(func(np.array([t]))[0]) - target,
+            float(grid[i]), float(grid[i + 1]), xtol=1e-15, rtol=8.9e-16,
+        )
+    return roots
 
 
 class TestPhaseFunctions:
@@ -181,6 +198,24 @@ class TestLadderAndPhaseData:
         for k, lam in window_1e4.alpha_lambdas.items():
             assert k in roots
             assert abs(roots[k] - lam) <= 1e-12
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_lockstep_roots_equal_scalar_bisect(self, quartic, action_table, h, monkeypatch):
+        m = SpectralModel(quartic, h, table=action_table)
+        got = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
+        monkeypatch.setattr(SpectralModel, "_solve_on", _scalar_solve_on)
+        want = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
+        assert got[0].alpha_lambdas == want[0].alpha_lambdas
+        assert got[0].beta_lambdas == want[0].beta_lambdas
+        assert got[1] == want[1] and len(got[1]) >= 20
+
+    @pytest.mark.parametrize("slope", [3.0 * TWO_PI, -3.0 * TWO_PI])
+    def test_targets_on_samples_pick_scalar_brackets(self, model_1e4, slope):
+        # samples at -1, -0.5, 0, 0.5, 1 hit 2 pi k exactly at both ends and at 0
+        func = lambda t: slope * np.asarray(t)
+        got = model_1e4._solve_on(func, -1.0, 1.0, n_grid=5)
+        assert got == _scalar_solve_on(model_1e4, func, -1.0, 1.0, n_grid=5)
+        assert len(got) == 7 and got[0] == 0.0 and abs(got[3]) == 1.0
 
     def test_phase_data_inverse_derivatives(self, model_1e4):
         roots = model_1e4.solve_ladder(lam_center=-0.4, n_side=8)

@@ -15,21 +15,19 @@ import numpy as np
 from . import __version__
 from .direct import discretize, window_spectrum
 from .dynamics import (
-    AutocorrelationSeries,
-    autocorrelation,
-    check_time_scale,
     default_alpha,
     default_beta,
     detect_peaks,
     exact_series,
     fractional_prediction,
+    order1,
     order1_closed_form,
-    order1_series,
+    order2,
     order2_series,
 )
 from .errors import ConfigError, NumericalFailure, RevivalKitError
 from .gausssum import coefficients, modulus_law, periodicity_set
-from .model import SpectralModel, interleaving_violations, select_alpha_near
+from .model import SpectralModel, interleaving_violations, ladder_point, select_alpha_near
 from .output import write_csv, write_json, write_plot_script
 from .packet import PROFILES, PacketSpec, build_coefficients, select_centers, split_sets
 from .potential import canonical_double_well, flow_period
@@ -91,18 +89,6 @@ def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> Pack
         h=args.h,
         chi=_profile(args.chi),
     )
-
-
-def _model_pipeline(args, spec: PacketSpec):
-    """Window, packet on the extended ladder, and phase data at the center."""
-    model = SpectralModel(_potential(args), args.h)
-    window = model.solve_families()
-    n0, m0 = select_centers(window, spec.energy)
-    radius = int(math.ceil(10.0 * spec.width))
-    ladder = model.solve_ladder(window.alpha_lambdas[n0], n_side=radius + 3)
-    packet = build_coefficients(spec, n0, index_set=ladder.keys())
-    phase = model.phase_data(ladder, n0)
-    return model, window, ladder, packet, phase, m0
 
 
 def _spectrum_outputs(args, outdir: Path) -> dict:
@@ -203,14 +189,14 @@ def cmd_evolve(args) -> int:
     outdir = _out_dir(args, "evolve")
     spec = _packet_spec(args, gamma_default=0.9, gamma_prime_default=0.2)
     alpha = default_alpha(spec.gamma) if args.alpha is None else args.alpha
-    model, window, ladder, packet, phase, m0 = _model_pipeline(args, spec)
+    point = ladder_point(_potential(args), spec)
+    packet, phase = point.packet, point.phase
     t_hyp = abs(phase.t_hyp)
     t_end = args.periods * t_hyp
     n_samples = min(MAX_SAMPLES, max(256, int(HYPERBOLIC_SAMPLES * args.periods)))
     t = np.linspace(0.0, t_end, n_samples)
-    check_time_scale(t, args.h, alpha)
-    r_exact = exact_series(ladder, packet, t)
-    a1 = order1_series(packet, phase, t)
+    a1 = order1(packet, phase, t, alpha)
+    r_exact = exact_series(point.ladder, packet, t)
     a2 = order2_series(packet, phase, t)
     # the initial state is alpha-family localized, so r(t) equals the
     # partial autocorrelation a(t); both columns are emitted
@@ -227,11 +213,10 @@ def cmd_evolve(args) -> int:
         columns["closed_form"] = closed
     if args.backend in ("direct", "both"):
         columns["c_direct"] = _direct_autocorrelation(args, spec, t)
-    series = AutocorrelationSeries(t=t, columns=columns)
     write_csv(
         outdir / "timeseries.csv",
         ["t"] + list(columns),
-        series.rows(),
+        zip(t, *columns.values()),
     )
     peak_period = None
     try:
@@ -248,7 +233,7 @@ def cmd_evolve(args) -> int:
         "gamma_prime": spec.gamma_prime,
         "alpha": alpha,
         "center_alpha": packet.center,
-        "center_beta": m0,
+        "center_beta": point.center_beta,
         "t_hyp": phase.t_hyp,
         "t_rev": phase.t_rev,
         "n_h": phase.n_h,
@@ -256,11 +241,9 @@ def cmd_evolve(args) -> int:
         "curvature_at_root": phase.curvature_at_root,
         "a3_bound": phase.a3_bound,
         "samples": n_samples,
-        "sup_exact_minus_order1": float(
-            np.max(np.abs(r_exact - np.exp(-1j * t * phase.a0) * a1))
-        ),
+        "sup_exact_minus_order1": float(np.max(np.abs(r_exact - a1))),
         "order1_peak_period": peak_period,
-        "window_counts": [len(window.alphas), len(window.betas)],
+        "window_counts": [len(point.window.alphas), len(point.window.betas)],
     }
     write_json(outdir / "manifest.json", manifest)
     write_plot_script(
@@ -284,20 +267,20 @@ def _direct_autocorrelation(args, spec: PacketSpec, t: np.ndarray) -> np.ndarray
     center = int(np.argmin(np.abs(scaled - spec.energy)))
     ladder = {i: v for i, v in enumerate(scaled)}
     packet = build_coefficients(spec, center, index_set=ladder.keys())
-    return autocorrelation(ladder, packet, t)
+    return np.abs(exact_series(ladder, packet, t))
 
 
 def cmd_revival(args) -> int:
     outdir = _out_dir(args, "revival")
     spec = _packet_spec(args, gamma_default=0.3, gamma_prime_default=0.8)
     beta = default_beta(spec.gamma) if args.beta is None else args.beta
-    model, window, ladder, packet, phase, _ = _model_pipeline(args, spec)
+    point = ladder_point(_potential(args), spec)
+    packet, phase = point.packet, point.phase
     t_hyp, t_rev = abs(phase.t_hyp), abs(phase.t_rev)
     t_end = 1.2 * t_rev
     n_samples = min(MAX_SAMPLES, max(512, int(REVIVAL_SAMPLES * t_end / t_hyp)))
     t = np.linspace(0.0, t_end, n_samples)
-    check_time_scale(t, args.h, beta)
-    a2 = order2_series(packet, phase, t)
+    a2 = order2(packet, phase, t, beta)
     write_csv(
         outdir / "revival.csv",
         ["t", "t_over_thyp", "t_over_trev", "a2_abs"],
@@ -324,7 +307,7 @@ def cmd_revival(args) -> int:
         "curvature_at_root": phase.curvature_at_root,
         "samples": n_samples,
         "fractional": fractional,
-        "window_counts": [len(window.alphas), len(window.betas)],
+        "window_counts": [len(point.window.alphas), len(point.window.betas)],
     }
     write_json(outdir / "manifest.json", manifest)
     write_plot_script(

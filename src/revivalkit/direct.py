@@ -95,13 +95,6 @@ class WindowedSpectrum:
     eigenvalues: np.ndarray
     parities: list[str]
     eigenvectors: np.ndarray
-    index_offset: int | None
-
-    @property
-    def index_set(self) -> range | None:
-        if self.index_offset is None:
-            return None
-        return range(self.index_offset, self.index_offset + len(self.eigenvalues))
 
     def gaps(self) -> np.ndarray:
         return np.diff(self.eigenvalues)
@@ -124,27 +117,11 @@ def _classify_parity(potential: Potential, vec: np.ndarray) -> str:
     return "even" if overlap > 0.0 else "odd"
 
 
-def _count_below(op: DiscretizedOperator, x: float) -> int:
-    """Sturm count of eigenvalues below x for the order-2 tridiagonal."""
-    d = op.matrix.diagonal(0) - x
-    e2 = op.matrix.diagonal(1) ** 2
-    count = 0
-    q = d[0]
-    if q < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        q = d[i] - e2[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
 def window_spectrum(
     op: DiscretizedOperator,
     window: tuple[float, float] | None = None,
     k_start: int = 16,
     k_max: int = 256,
-    with_index_offset: bool = False,
 ) -> WindowedSpectrum:
     """Eigenpairs inside the window (default [-h, h]), parity-labeled."""
     lo, hi = window if window is not None else (-op.h, op.h)
@@ -164,15 +141,11 @@ def window_spectrum(
     keep = (vals >= lo) & (vals <= hi)
     vals, vecs = vals[keep], vecs[:, keep]
     parities = [_classify_parity(op.potential, vecs[:, i]) for i in range(vecs.shape[1])]
-    offset = None
-    if with_index_offset and op.order == 2 and len(vals) and n <= 600_000:
-        offset = _count_below(op, float(vals[0]) - 1e-12 * op.h)
     return WindowedSpectrum(
         h=op.h,
         eigenvalues=vals,
         parities=parities,
         eigenvectors=vecs,
-        index_offset=offset,
     )
 
 

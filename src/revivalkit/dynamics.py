@@ -10,7 +10,7 @@ arithmetic, the test seam for revival identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,8 +23,6 @@ from .errors import (
     SupportError,
     TimeScaleError,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -91,22 +89,6 @@ class PhaseData:
         a1 = 1.0 / t_hyp
         a2 = 1.0 / (math.pi * ratio * t_hyp)
         return cls(a0=a0, a1=a1, a2=a2, ratio_exact=ratio_exact)
-
-
-@dataclass(frozen=True)
-class QuadraticPhase:
-    """Second-order Taylor polynomial of the ladder around the center index."""
-
-    phase: PhaseData
-    center: int
-
-    def __call__(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        return (
-            self.phase.a0
-            + self.phase.a1 * TWO_PI * d
-            + self.phase.a2 * 2.0 * math.pi**2 * d**2
-        )
 
 
 def _wrap_unit(x: np.ndarray | float):
@@ -195,13 +177,10 @@ def default_beta(gamma: float) -> float:
     return min(3.5, 4.0 - 3.0 * gamma - 0.1)
 
 
-def validity_horizon(h: float, exponent: float) -> float:
-    return abs(math.log(h)) ** exponent
-
-
 def check_time_scale(t, h: float, exponent: float) -> None:
+    """Refuse a time grid reaching past the approximant horizon |ln h|^exponent."""
     t_max = float(np.max(np.asarray(t)))
-    horizon = validity_horizon(h, exponent)
+    horizon = abs(math.log(h)) ** exponent
     if t_max > horizon * (1.0 + 1e-12):
         raise TimeScaleError(
             f"time grid reaches {t_max:g}, beyond the approximant horizon "
@@ -243,34 +222,6 @@ def exact_series(eigenvalues: Mapping[int, float], packet, t):
     for i in range(0, len(t), chunk):
         out[i : i + chunk] = np.exp(-1j * np.outer(t[i : i + chunk], lam)) @ packet.weights
     return out
-
-
-def autocorrelation(eigenvalues: Mapping[int, float], packet, t):
-    """|r(t)| for the exact return series."""
-    return np.abs(exact_series(eigenvalues, packet, t))
-
-
-def _window_ladder(window, family: str) -> dict[int, float]:
-    lam = window.alpha_lambdas if family == "alpha" else window.beta_lambdas
-    return {int(k): float(v) for k, v in lam.items()}
-
-
-def partial_autocorrelation(window, packet, family: str, t):
-    """One family's return series over the window [-h, h].
-
-    Raises SupportError when the packet support leaves the window.
-    """
-    return exact_series(_window_ladder(window, family), packet, t)
-
-
-def exact_return(window, packet, t):
-    """Return series r(t) and autocorrelation |r(t)| over the window.
-
-    The packet is built on one family's index labels (packet.family);
-    its support must sit inside the window.
-    """
-    r = partial_autocorrelation(window, packet, packet.family, t)
-    return r, np.abs(r)
 
 
 @dataclass(frozen=True)
@@ -343,17 +294,3 @@ def detect_peaks(times, values, threshold: float) -> PeakData:
     return PeakData(
         times=np.array(peak_t), heights=np.array(peak_v), period_estimate=period
     )
-
-
-@dataclass
-class AutocorrelationSeries:
-    """Sampled series bundle written by the CLI."""
-
-    t: np.ndarray
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def rows(self):
-        names = list(self.columns)
-        for i, ti in enumerate(self.t):
-            yield (ti, *[self.columns[n][i] for n in names])

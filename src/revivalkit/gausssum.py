@@ -65,22 +65,6 @@ def quadratic_phase_sequence(p: int, q: int, n0: int, n_values) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class QuadraticPhaseSequence:
-    """The sequence n -> exp(-2 pi i (p/q)(n - n0)^2) with its minimal period."""
-
-    p: int
-    q: int
-    n0: int
-
-    @property
-    def period(self) -> int:
-        return periodicity_set(self.p, self.q).generator
-
-    def values(self, n_values) -> np.ndarray:
-        return quadratic_phase_sequence(self.p, self.q, self.n0, n_values)
-
-
 def fourier_mode(k: int, ell: int, n_values) -> np.ndarray:
     """Basis sequence exp(-2 pi i k n / ell)."""
     return np.array([_unit_phase(Fraction(k * int(n), ell)) for n in n_values])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
+from . import packet
 from .dynamics import PhaseData
 from .errors import (
     DomainError,
@@ -40,35 +41,33 @@ class ActionTable:
         return poly.deriv(order) if order else poly
 
 
-_TABLE_CACHE: dict[tuple[str, float, int, int], ActionTable] = {}
+# energy half-width of the fit, Chebyshev nodes, Gauss-Jacobi nodes per action
+ACTION_DELTA, FIT_NODES, QUAD_NODES = 0.1, 160, 600
+
+_TABLE_CACHE: dict[str, ActionTable] = {}
 
 
-def build_action_table(
-    potential: Potential,
-    delta: float = 0.1,
-    fit_nodes: int = 160,
-    quad_nodes: int = 600,
-) -> ActionTable:
-    """Sample the regularized actions at Chebyshev nodes and fit."""
-    key = (potential.descriptor, delta, fit_nodes, quad_nodes)
-    hit = _TABLE_CACHE.get(key)
+def build_action_table(potential: Potential) -> ActionTable:
+    """Sample the regularized actions at Chebyshev nodes on [-delta, delta] and fit."""
+    hit = _TABLE_CACHE.get(potential.descriptor)
     if hit is not None:
         return hit
-    j = np.arange(fit_nodes)
-    nodes = delta * np.cos((2 * j + 1) * np.pi / (2 * fit_nodes))
+    delta = ACTION_DELTA
+    j = np.arange(FIT_NODES)
+    nodes = delta * np.cos((2 * j + 1) * np.pi / (2 * FIT_NODES))
     vals_p = np.array(
-        [regularized_action(potential, float(e), +1, quad_nodes) for e in nodes]
+        [regularized_action(potential, float(e), +1, QUAD_NODES) for e in nodes]
     )
-    cheb_p = Chebyshev.fit(nodes, vals_p, deg=fit_nodes - 1, domain=[-delta, delta])
+    cheb_p = Chebyshev.fit(nodes, vals_p, deg=FIT_NODES - 1, domain=[-delta, delta])
     if potential.even:
         cheb_m = cheb_p
     else:
         vals_m = np.array(
-            [regularized_action(potential, float(e), -1, quad_nodes) for e in nodes]
+            [regularized_action(potential, float(e), -1, QUAD_NODES) for e in nodes]
         )
-        cheb_m = Chebyshev.fit(nodes, vals_m, deg=fit_nodes - 1, domain=[-delta, delta])
+        cheb_m = Chebyshev.fit(nodes, vals_m, deg=FIT_NODES - 1, domain=[-delta, delta])
     table = ActionTable(delta=delta, plus=cheb_p, minus=cheb_m)
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE[potential.descriptor] = table
     return table
 
 
@@ -118,16 +117,6 @@ class SpectrumWindow:
     alpha_lambdas: dict[int, float]
     beta_lambdas: dict[int, float]
 
-    @property
-    def index_set_alpha(self) -> range:
-        ks = sorted(self.alpha_lambdas)
-        return range(ks[0], ks[-1] + 1) if ks else range(0)
-
-    @property
-    def index_set_beta(self) -> range:
-        ls = sorted(self.beta_lambdas)
-        return range(ls[0], ls[-1] + 1) if ls else range(0)
-
     def family(self, name: str) -> list[tuple[int, float]]:
         if name == "alpha":
             return self.alphas
@@ -158,28 +147,20 @@ class SpectrumWindow:
 class SpectralModel:
     """Phase functions for one potential at one value of h.
 
-    Evaluations are restricted to lambda in [-1, 1] (the window [-h, h])
-    unless ``extended=True``, which admits any lambda with
-    |lambda * h| <= delta; the extended ladder feeds dynamics studies
-    while exported spectra stay inside the window.
+    Evaluations admit any lambda with |lambda * h| <= delta, the energy
+    half-width of the action table: the window [-h, h] is lambda in
+    [-1, 1], and the extended ladder beyond it feeds the dynamics.
     """
 
-    def __init__(
-        self,
-        potential: Potential,
-        h: float,
-        delta: float = 0.1,
-        table: ActionTable | None = None,
-    ):
+    def __init__(self, potential: Potential, h: float):
         if not 0.0 < h < 1.0:
             raise DomainError(f"h must lie in (0, 1), got {h:g}")
         validate_saddle(potential)
         self.potential = potential
         self.h = float(h)
-        self.delta = float(delta)
         self.lnh = math.log(h)
         self.w = potential.curvature_scale
-        self.table = table or build_action_table(potential, delta)
+        self.table = build_action_table(potential)
         self._deriv_cache: dict[tuple[int, int], Chebyshev] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -198,15 +179,10 @@ class SpectralModel:
             return 2.0 * plus
         return plus + self._action_deriv(-1, order)(energy)
 
-    def _check_domain(self, lam, extended: bool):
+    def _check_domain(self, lam):
         lam = np.asarray(lam, dtype=float)
-        if extended:
-            if np.any(np.abs(lam) * self.h > self.delta):
-                raise DomainError(
-                    f"|lambda*h| exceeds delta={self.delta:g} on the extended domain"
-                )
-        elif np.any(np.abs(lam) > 1.0 + 1e-12):
-            raise DomainError("lambda outside [-1, 1]; pass extended=True to widen")
+        if np.any(np.abs(lam) * self.h > self.table.delta):
+            raise DomainError(f"|lambda*h| exceeds delta={self.table.delta:g}")
         return lam
 
     def epsilon_over_h(self, lam):
@@ -215,14 +191,16 @@ class SpectralModel:
 
     # -- the quantization phases ------------------------------------------
 
-    def f_h(self, lam, extended: bool = False):
-        lam = self._check_domain(lam, extended)
+    def f_h(self, lam):
+        lam = self._check_domain(lam)
         y = self.epsilon_over_h(lam)
         theta_sum = self._lobe_sum(0, lam * self.h) / (2.0 * self.h)
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
-    def g_h(self, lam, extended: bool = False):
-        lam = self._check_domain(lam, extended)
+    def g_h(self, lam):
+        return self._g(self._check_domain(lam))
+
+    def _g(self, lam):
         if self.potential.even:
             return np.zeros_like(lam)
         return (
@@ -237,20 +215,18 @@ class SpectralModel:
         if self.potential.even:
             # arccos(1/sqrt(1+e^{2z})) = arctan(e^z)
             return np.arctan(np.exp(np.clip(z, None, 700.0)))
-        g = self.g_h(lam, extended=True)
+        g = self._g(lam)
         arg = np.cos(g) / np.sqrt(1.0 + np.exp(2.0 * np.clip(z, None, 350.0)))
         over = np.abs(arg) - 1.0
         if np.any(over > 1e-12):
             raise NumericalError("tunneling-angle argument exceeds 1 by > 1e-12")
         return np.arccos(np.clip(arg, -1.0, 1.0))
 
-    def y_h(self, lam, extended: bool = False):
-        lam = self._check_domain(lam, extended)
-        return self.f_h(lam, extended=True) - self._tunneling_angle(lam)
+    def y_h(self, lam):
+        return self.f_h(lam) - self._tunneling_angle(lam)
 
-    def z_h(self, lam, extended: bool = False):
-        lam = self._check_domain(lam, extended)
-        return self.f_h(lam, extended=True) + self._tunneling_angle(lam)
+    def z_h(self, lam):
+        return self.f_h(lam) + self._tunneling_angle(lam)
 
     # -- derivatives -------------------------------------------------------
 
@@ -291,7 +267,7 @@ class SpectralModel:
             + 2.25 * (1.0 + q) ** -2.5 * qd[1] * qd[2]
             - 0.5 * (1.0 + q) ** -1.5 * qd[3]
         )
-        g = self.g_h(lam, extended=True)
+        g = self._g(lam)
         gd = [
             (
                 self._action_deriv(+1, k)(lam * h)
@@ -335,8 +311,8 @@ class SpectralModel:
             )
         raise ValueError(order)
 
-    def _phase_derivative(self, lam, order: int, sign: float, extended: bool):
-        lam = self._check_domain(lam, extended)
+    def _phase_derivative(self, lam, order: int, sign: float):
+        lam = self._check_domain(lam)
         h = self.h
         theta_sum_d = self._lobe_sum(order, lam * h) * h ** (order - 1) / 2.0
         out = -theta_sum_d + self._arg_gamma_derivative(lam, order)
@@ -344,16 +320,16 @@ class SpectralModel:
             out = out + self.lnh / self.w
         return out + sign * self._tunneling_angle_derivative(lam, order)
 
-    def y_derivative(self, lam, order: int, extended: bool = False):
+    def y_derivative(self, lam, order: int):
         """Analytic derivative of the alpha-family phase, order 1, 2 or 3."""
         if order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2 or 3, got {order}")
-        return self._phase_derivative(lam, order, -1.0, extended)
+        return self._phase_derivative(lam, order, -1.0)
 
-    def z_derivative(self, lam, order: int, extended: bool = False):
+    def z_derivative(self, lam, order: int):
         if order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2 or 3, got {order}")
-        return self._phase_derivative(lam, order, +1.0, extended)
+        return self._phase_derivative(lam, order, +1.0)
 
     # -- root solving ------------------------------------------------------
 
@@ -384,8 +360,8 @@ class SpectralModel:
 
     def solve_families(self) -> SpectrumWindow:
         """Enumerate both families inside the window [-h, h]."""
-        ya = self._solve_on(lambda t: self.y_h(t, extended=True), -1.0, 1.0)
-        zb = self._solve_on(lambda t: self.z_h(t, extended=True), -1.0, 1.0)
+        ya = self._solve_on(self.y_h, -1.0, 1.0)
+        zb = self._solve_on(self.z_h, -1.0, 1.0)
         alphas = sorted(((k, self.h * lam) for k, lam in ya.items()),
                         key=lambda kv: kv[1])
         betas = sorted(((l, self.h * lam) for l, lam in zb.items()),
@@ -407,28 +383,28 @@ class SpectralModel:
         """
         func = self.y_h if family == "alpha" else self.z_h
         deriv = self.y_derivative if family == "alpha" else self.z_derivative
-        slope = abs(float(deriv(np.array([lam_center]), 1, extended=True)[0]))
+        slope = abs(float(deriv(np.array([lam_center]), 1)[0]))
         gap = TWO_PI / slope
-        lam_max = 0.95 * self.delta / self.h
+        lam_max = 0.95 * self.table.delta / self.h
         lo = max(lam_center - (n_side + 3) * gap, -lam_max)
         hi = min(lam_center + (n_side + 3) * gap, lam_max)
         n_grid = max(4097, 16 * (2 * n_side + 8))
-        return self._solve_on(lambda t: func(t, extended=True), lo, hi, n_grid)
+        return self._solve_on(func, lo, hi, n_grid)
 
     def phase_data(self, roots: dict[int, float], n0: int) -> PhaseData:
         """Inverse-function derivative records at the index-n0 root."""
         lam0 = roots[n0]
         arr = np.array([lam0])
-        yp = float(self.y_derivative(arr, 1, extended=True)[0])
-        ypp = float(self.y_derivative(arr, 2, extended=True)[0])
-        yppp = float(self.y_derivative(arr, 3, extended=True)[0])
+        yp = float(self.y_derivative(arr, 1)[0])
+        ypp = float(self.y_derivative(arr, 2)[0])
+        yppp = float(self.y_derivative(arr, 3)[0])
         a1 = 1.0 / yp
         a2 = -ypp / yp**3
         a3 = -yppp / yp**4 + 3.0 * ypp**2 / yp**5
         lam_grid = np.linspace(-1.0, 1.0, 201)
-        y3 = self.y_derivative(lam_grid, 3, extended=True)
-        y1 = self.y_derivative(lam_grid, 1, extended=True)
-        y2 = self.y_derivative(lam_grid, 2, extended=True)
+        y3 = self.y_derivative(lam_grid, 3)
+        y1 = self.y_derivative(lam_grid, 1)
+        y2 = self.y_derivative(lam_grid, 2)
         a3_bound = float(
             np.max(np.abs(-y3 / y1**4 + 3.0 * y2**2 / y1**5))
         )
@@ -445,6 +421,32 @@ class SpectralModel:
 def select_alpha_near(roots: dict[int, float], lam_target: float) -> int:
     """Index of the ladder root nearest the target lambda."""
     return min(roots, key=lambda k: abs(roots[k] - lam_target))
+
+
+@dataclass(frozen=True)
+class LadderPoint:
+    """Window, packet centred on the extended alpha ladder, phase data at its centre."""
+
+    window: SpectrumWindow
+    center_beta: int
+    ladder: dict[int, float]
+    packet: packet.CoefficientSequence
+    phase: PhaseData
+
+
+def ladder_point(potential: Potential, spec: packet.PacketSpec) -> LadderPoint:
+    """The point pipeline: window -> centres -> ladder -> packet -> phase data.
+
+    The ladder reaches three roots past the packet's truncation radius on
+    each side, so the packet support is never clipped by the ladder.
+    """
+    model = SpectralModel(potential, spec.h)
+    window = model.solve_families()
+    n0, m0 = packet.select_centers(window, spec.energy)
+    radius = math.ceil(packet.RADIUS_FACTOR * spec.width)
+    ladder = model.solve_ladder(window.alpha_lambdas[n0], n_side=radius + 3)
+    coeffs = packet.build_coefficients(spec, n0, index_set=ladder.keys())
+    return LadderPoint(window, m0, ladder, coeffs, model.phase_data(ladder, n0))
 
 
 def interleaving_violations(window: SpectrumWindow) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(value) -> str:
     """Round-trip-safe text for one cell."""
@@ -36,17 +38,12 @@ def write_json(path: Path, payload: dict) -> Path:
 
 
 def _jsonable(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return str(obj)

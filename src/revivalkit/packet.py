@@ -41,6 +41,10 @@ class BumpProfile:
 
 PROFILES = {"gaussian": GaussianProfile(), "bump": BumpProfile()}
 
+# truncation radius in units of the packet width: the dropped Gaussian tail
+# stays below 1e-14
+RADIUS_FACTOR = 10.0
+
 
 def _validate_profile(chi) -> None:
     grid = np.linspace(-3.0, 3.0, 121)
@@ -125,7 +129,6 @@ class CoefficientSequence:
     k_exact: float
     k_closed_form: float | None
     truncation_radius: int
-    family: str = "alpha"
 
     @property
     def offsets(self) -> np.ndarray:
@@ -148,14 +151,13 @@ def build_coefficients(
     spec: PacketSpec,
     center: int,
     index_set=None,
-    radius_factor: float = 10.0,
-    family: str = "alpha",
+    radius_factor: float = RADIUS_FACTOR,
 ) -> CoefficientSequence:
     """Evaluate chi((n - center)/width), truncate, and normalize exactly.
 
-    The truncation radius radius_factor * width keeps the dropped tail of
-    the Gaussian default below 1e-14.  Counting indices (center >= 0) are
-    clipped to n >= 0; ladder labels may be negative and are kept as-is.
+    The truncation radius is radius_factor * width.  Counting indices
+    (center >= 0) are clipped to n >= 0; ladder labels may be negative and
+    are kept as-is.
     When index_set is given the support is intersected with it.
     """
     width = spec.width
@@ -184,7 +186,6 @@ def build_coefficients(
         k_exact=1.0 / norm,
         k_closed_form=k_closed,
         truncation_radius=radius,
-        family=family,
     )
 
 

@@ -100,7 +100,6 @@ class ClassicalOrbitResult:
     energy: float
     initial_point: tuple[float, float]
     period: float
-    trajectory_samples: list[tuple[float, float, float]]
     energy_drift: float
 
 
@@ -139,7 +138,6 @@ def flow_period(
             xi -= 0.5 * dtc * grad(x)
         return x, xi
 
-    samples = [(0.0, x0, 0.0)]
     x, xi, t = x0, 0.0, 0.0
     max_drift = 0.0
     n_steps = int(np.ceil(max_time / dt))
@@ -148,7 +146,6 @@ def flow_period(
         x, xi = step(x, xi, dt)
         t += dt
         if i % sample_stride == 0:
-            samples.append((t, x, xi))
             max_drift = max(
                 max_drift, abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
             )
@@ -188,12 +185,10 @@ def flow_period(
                     f"orbit closes {abs(x_cross - x0):.3e} away from its "
                     f"start (tolerance {closure_tol:.3e})"
                 )
-            samples.append((period, x_cross, 0.0))
             return ClassicalOrbitResult(
                 energy=e0,
                 initial_point=(x0, 0.0),
                 period=period,
-                trajectory_samples=samples,
                 energy_drift=drift,
             )
     raise NonClosingOrbit(f"no return within t={max_time:g} (h={h:g})")
@@ -283,16 +278,6 @@ def lobe_action(potential: Potential, energy: float, side: int, n: int = 400) ->
     return 2.0 * val
 
 
-@dataclass(frozen=True)
-class ActionData:
-    """Leading-order singular actions and normal-form slope at one energy."""
-
-    energy: float
-    leading_action_plus: float
-    leading_action_minus: float
-    leading_epsilon: float
-
-
 def leading_epsilon(potential: Potential, energy: float) -> float:
     """Leading-order normal-form coordinate E / sqrt(-V''(0))."""
     return energy / potential.curvature_scale
@@ -317,22 +302,3 @@ def regularized_action(
     eps = leading_epsilon(potential, energy)
     return raw + eps * (float(np.log(abs(energy) / w)) - 1.0)
 
-
-def leading_actions(
-    potential: Potential, energy: float, delta: float = 0.1, n: int = 400
-) -> ActionData:
-    """Regularized actions of both lobes plus the leading epsilon slope."""
-    if abs(energy) > delta:
-        raise ParameterError(
-            f"|E|={abs(energy):g} outside the level-set window delta={delta:g}"
-        )
-    s_plus = regularized_action(potential, energy, +1, n)
-    s_minus = (
-        s_plus if potential.even else regularized_action(potential, energy, -1, n)
-    )
-    return ActionData(
-        energy=energy,
-        leading_action_plus=s_plus,
-        leading_action_minus=s_minus,
-        leading_epsilon=leading_epsilon(potential, energy),
-    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from revivalkit.model import SpectralModel, build_action_table
+from revivalkit.model import SpectralModel
 from revivalkit.potential import canonical_double_well
 
 
@@ -11,18 +11,13 @@ def quartic():
 
 
 @pytest.fixture(scope="session")
-def action_table(quartic):
-    return build_action_table(quartic)
+def model_1e3(quartic):
+    return SpectralModel(quartic, 1e-3)
 
 
 @pytest.fixture(scope="session")
-def model_1e3(quartic, action_table):
-    return SpectralModel(quartic, 1e-3, table=action_table)
-
-
-@pytest.fixture(scope="session")
-def model_1e4(quartic, action_table):
-    return SpectralModel(quartic, 1e-4, table=action_table)
+def model_1e4(quartic):
+    return SpectralModel(quartic, 1e-4)
 
 
 @pytest.fixture(scope="session")

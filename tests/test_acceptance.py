@@ -177,22 +177,13 @@ def test_criterion_6_classical_period_law():
            f"(slope {fit.slope:.4f}, residual/slope {ratio:.3f})")
 
 
-@pytest.fixture(scope="module")
-def quartic_table():
-    from revivalkit.model import build_action_table
-
-    quartic = canonical_double_well()
-    return quartic, build_action_table(quartic)
-
-
-def test_criterion_7_spectral_structure(quartic_table):
-    quartic, table = quartic_table
+def test_criterion_7_spectral_structure(quartic):
     with Budget("C7", 120.0):
         hs = [1e-3, 1e-4, 1e-5]
         counts, lnhs, scaled = [], [], []
         windows = {}
         for h in hs:
-            model = SpectralModel(quartic, h, table=table)
+            model = SpectralModel(quartic, h)
             w = model.solve_families()
             windows[h] = w
             assert interleaving_violations(w) == 0
@@ -230,8 +221,8 @@ def test_criterion_7_spectral_structure(quartic_table):
     )
 
 
-def _model_sup_error(quartic, table, h, gamma, gamma_p, exponent, order):
-    model = SpectralModel(quartic, h, table=table)
+def _model_sup_error(quartic, h, gamma, gamma_p, exponent, order):
+    model = SpectralModel(quartic, h)
     spec = PacketSpec(energy=-0.45, gamma=gamma, gamma_prime=gamma_p, h=h)
     radius = int(math.ceil(10.0 * spec.width))
     roots = model.solve_ladder(lam_center=-0.45, n_side=radius + 3)
@@ -256,8 +247,7 @@ def _model_sup_error(quartic, table, h, gamma, gamma_p, exponent, order):
         "on scale-controlled ladders in the companion test"
     ),
 )
-def test_criterion_8_error_scaling_as_stated(quartic_table):
-    quartic, table = quartic_table
+def test_criterion_8_error_scaling_as_stated(quartic):
     with Budget("C8", 120.0):
         hs = [1e-3, 3.16e-4, 1e-4, 3.16e-5, 1e-5, 3.16e-6, 1e-6]
         x = np.log([abs(math.log(h)) for h in hs])
@@ -267,7 +257,7 @@ def test_criterion_8_error_scaling_as_stated(quartic_table):
             (2, 0.3, 0.8, 3.0),
         ):
             sups = [
-                _model_sup_error(quartic, table, h, gamma, gamma_p, expo, order)
+                _model_sup_error(quartic, h, gamma, gamma_p, expo, order)
                 for h in hs
             ]
             predicted = expo + 2 * gamma - 3 if order == 1 else expo + 3 * gamma - 4
@@ -329,14 +319,13 @@ def test_criterion_8_error_scaling_controlled_ladder():
         )
 
 
-def test_criterion_9_revival_periodicity(quartic_table):
-    quartic, table = quartic_table
+def test_criterion_9_revival_periodicity(quartic):
     with Budget("C9", 300.0):
         hs = [1e-3, 3.16e-4, 1e-4, 3.16e-5, 1e-5, 3.16e-6, 1e-6]
         gamma, gamma_p = 0.3, 0.8
         sups, thetas, curvatures, t_revs, lnhs, n_hs = [], [], [], [], [], []
         for h in hs:
-            model = SpectralModel(quartic, h, table=table)
+            model = SpectralModel(quartic, h)
             roots = model.solve_ladder(lam_center=-0.45, n_side=25)
             n0 = select_alpha_near(roots, -0.45)
             phase = model.phase_data(roots, n0)
@@ -387,7 +376,7 @@ def test_criterion_9_revival_periodicity(quartic_table):
             )
             pinned_curv, pinned_cube = [], []
             for h in hs:
-                model = SpectralModel(quartic, h, table=table)
+                model = SpectralModel(quartic, h)
                 lam = np.array([-0.45])
                 yp = float(model.y_derivative(lam, 1)[0])
                 ypp = float(model.y_derivative(lam, 2)[0])

@@ -7,12 +7,6 @@ import pytest
 
 from revivalkit.cli import main
 
-
-def run(argv, capsys=None):
-    code = main(argv)
-    return code
-
-
 class TestGauss:
     def test_quarter_table(self, tmp_path, capsys):
         code = main(["gauss", "--p", "1", "--q", "4", "--out", str(tmp_path)])
@@ -126,6 +120,16 @@ class TestRevival:
         assert manifest["fractional"]["1/2"]["ell"] == 2
         assert manifest["n_h"] >= 1
         assert 0.0 <= manifest["theta_frac"] < 1.0
+
+    def test_large_gamma_refused(self, tmp_path, capsys):
+        # revival-scale grids need gamma < 1/3 (dynamics.order2's guard)
+        code = main(
+            ["revival", "--h", "1e-4", "--E", "-0.45", "--gamma", "0.5",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ParameterError" in err and "gamma < 1/3" in err
 
 
 class TestSweep:

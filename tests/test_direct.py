@@ -22,7 +22,7 @@ def op_1e2():
 
 @pytest.fixture(scope="module")
 def spectrum_1e2(op_1e2):
-    return window_spectrum(op_1e2, with_index_offset=False)
+    return window_spectrum(op_1e2)
 
 
 class TestDiscretize:
@@ -113,17 +113,6 @@ class TestWindowSpectrum:
         sp = window_spectrum(discretize(tilted, 1e-2, order=4))
         assert all(p == "n/a" for p in sp.parities)
 
-    def test_index_offset_counts_levels_below(self):
-        V = canonical_double_well()
-        op = discretize(V, 1e-2, order=2)
-        sp = window_spectrum(op, with_index_offset=True)
-        assert sp.index_offset is not None
-        low = lowest_eigenvalues(op, sp.index_offset + len(sp.eigenvalues))
-        # the count below the window bottom matches the global index
-        below = np.sum(low < sp.eigenvalues[0] - 1e-12 * op.h)
-        assert below == sp.index_offset
-        assert sp.index_set is not None
-
     def test_csv_rows_have_parity_column(self, spectrum_1e2):
         rows = list(spectrum_1e2.csv_rows())
         assert all(len(r) == 6 for r in rows)
@@ -132,14 +121,14 @@ class TestWindowSpectrum:
 
 
 class TestDualBackend:
-    def test_peak_structure_matches_model(self, quartic, action_table):
+    def test_peak_structure_matches_model(self, quartic):
         """Window-family packets evolved from both backends recur in step."""
         from revivalkit.dynamics import detect_peaks, exact_series
         from revivalkit.model import SpectralModel
         from revivalkit.packet import PacketSpec, build_coefficients
 
         h = 1e-4
-        model = SpectralModel(quartic, h, table=action_table)
+        model = SpectralModel(quartic, h)
         window = model.solve_families()
         op = discretize(quartic, h, order=4)
         sp = window_spectrum(op)

@@ -30,7 +30,7 @@ from revivalkit.errors import (
     TimeScaleError,
 )
 from revivalkit.gausssum import coefficients
-from revivalkit.model import SpectralModel
+from revivalkit.model import ladder_point
 from revivalkit.packet import BumpProfile, PacketSpec, build_coefficients, select_centers
 
 
@@ -60,17 +60,6 @@ class TestPhaseData:
     def test_theta_range_guard(self):
         with pytest.raises(ParameterError):
             PhaseData.synthetic(t_hyp=1.0, n_h=3, theta=Fraction(5, 4))
-
-
-class TestQuadraticPhase:
-    def test_center_value_is_a0_exactly(self, phase):
-        from revivalkit.dynamics import QuadraticPhase
-
-        poly = QuadraticPhase(phase=phase, center=137)
-        assert float(poly(137)) == phase.a0
-        d = float(poly(138) - poly(137))
-        want = phase.a1 * 2 * math.pi + phase.a2 * 2 * math.pi**2
-        assert abs(d - want) <= 1e-15
 
 
 class TestOrder1:
@@ -229,17 +218,14 @@ class TestFractional:
             assert cmp.sup_difference <= 1e-10
 
     @pytest.mark.parametrize("source", ["model", "synthetic"])
-    def test_factored_clone_sum_matches_direct_sum(self, quartic, action_table, source):
+    def test_factored_clone_sum_matches_direct_sum(self, quartic, source):
         # the direct sum shifts order1_series once per clone index k; the
         # factored sum folds the clone coefficients into the weights
-        m = SpectralModel(quartic, 1e-6, table=action_table)
-        window = m.solve_families()
-        n0, _ = select_centers(window, -0.5)
         spec = PacketSpec(energy=-0.5, gamma=0.3, gamma_prime=0.8, h=1e-6)
-        ladder = m.solve_ladder(window.alpha_lambdas[n0], n_side=20)
-        pk = build_coefficients(spec, n0, index_set=ladder.keys())
+        point = ladder_point(quartic, spec)
+        pk = point.packet
         if source == "model":
-            ph = m.phase_data(ladder, n0)  # float ratio, float shifts
+            ph = point.phase  # float ratio, float shifts
         else:
             ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**40 + 3, theta=Fraction(2, 7))
         t = np.linspace(0.0, 2.0 * abs(ph.t_hyp), 257)
@@ -307,36 +293,29 @@ def test_property_unitarity_of_series(n_h, theta):
 
 
 class TestWindowReturn:
-    def test_window_restricted_series(self, model_1e4, window_1e4):
-        from revivalkit.dynamics import exact_return, partial_autocorrelation
-        from revivalkit.packet import select_centers
-
+    def test_window_restricted_series(self, window_1e4):
         spec = PacketSpec(energy=-0.45, gamma=0.3, gamma_prime=0.8, h=1e-4)
-        n0, m0 = select_centers(window_1e4, -0.45)
+        n0, _ = select_centers(window_1e4, -0.45)
         pk = build_coefficients(spec, n0, index_set=window_1e4.alpha_lambdas)
         t = np.linspace(0.0, 20.0, 201)
-        r, c = exact_return(window_1e4, pk, t)
+        r = exact_series(window_1e4.alpha_lambdas, pk, t)
         assert abs(r[0] - 1.0) <= 1e-12
-        assert np.max(c) <= 1.0 + 1e-12
-        a = partial_autocorrelation(window_1e4, pk, "alpha", t)
-        assert np.max(np.abs(a - r)) == 0.0  # alpha-only packet: r equals a
+        assert np.max(np.abs(r)) <= 1.0 + 1e-12
 
     def test_support_error_when_packet_escapes_window(self, window_1e4):
-        from revivalkit.dynamics import exact_return
-
         spec = PacketSpec(energy=-0.45, gamma=0.3, gamma_prime=0.8, h=1e-4)
         wide = build_coefficients(spec, max(window_1e4.alpha_lambdas))
         with pytest.raises(SupportError):
-            exact_return(window_1e4, wide, np.linspace(0.0, 1.0, 8))
+            exact_series(window_1e4.alpha_lambdas, wide, np.linspace(0.0, 1.0, 8))
 
 
 class TestBetaFamilyMirror:
-    def test_beta_packet_recurs_like_alpha(self, quartic, action_table):
+    def test_beta_packet_recurs_like_alpha(self, quartic):
         """At the window edge the two families' recurrence periods approach."""
         from revivalkit.model import SpectralModel, select_alpha_near
 
         h = 1e-9
-        model = SpectralModel(quartic, h, table=action_table)
+        model = SpectralModel(quartic, h)
         periods = {}
         for family in ("alpha", "beta"):
             roots = model.solve_ladder(-1.0, n_side=20, family=family)
@@ -344,7 +323,7 @@ class TestBetaFamilyMirror:
             spec = PacketSpec(energy=-1.0, gamma=0.3, gamma_prime=0.8, h=h)
             pk = build_coefficients(spec, n0, index_set=roots.keys())
             deriv = model.y_derivative if family == "alpha" else model.z_derivative
-            t_loc = abs(float(deriv(np.array([roots[n0]]), 1, extended=True)[0]))
+            t_loc = abs(float(deriv(np.array([roots[n0]]), 1)[0]))
             t = np.linspace(0.0, 3.2 * t_loc, 4001)
             c = np.abs(exact_series(roots, pk, t))
             peaks = detect_peaks(t, c, threshold=0.6)

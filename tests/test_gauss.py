@@ -54,16 +54,6 @@ class TestPeriodicity:
             periodicity_set(1, 0)
 
 
-class TestSequenceRecord:
-    def test_period_and_values(self):
-        from revivalkit.gausssum import QuadraticPhaseSequence
-
-        seq = QuadraticPhaseSequence(p=3, q=8, n0=11)
-        assert seq.period == 4
-        ns = np.arange(-6, 7)
-        assert np.max(np.abs(seq.values(ns) - seq.values(ns + seq.period))) == 0.0
-
-
 class TestInnerProduct:
     def test_fourier_modes_orthonormal(self):
         for ell in range(1, 13):

@@ -59,9 +59,7 @@ class TestPhaseFunctions:
 
     def test_domain_guard(self, model_1e3):
         with pytest.raises(DomainError):
-            model_1e3.y_h(1.5)
-        with pytest.raises(DomainError):
-            model_1e3.y_h(np.array([2000.0]), extended=True)
+            model_1e3.y_h(np.array([2000.0]))
 
     def test_slope_dominated_by_log_term(self, model_1e4):
         # leading part ln(h)/sqrt(-V''(0)) = -6.5127 at h = 1e-4, O(1) rest
@@ -88,9 +86,9 @@ class TestPhaseFunctions:
             diffs = np.diff(fn(lam))
             assert np.all(diffs < 0.0)
 
-    def test_curvature_bounded_across_sweep(self, quartic, action_table):
+    def test_curvature_bounded_across_sweep(self, quartic):
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             lam = np.linspace(-1, 1, 101)
             assert np.max(np.abs(m.y_derivative(lam, 2))) < 10.0
 
@@ -98,31 +96,31 @@ class TestPhaseFunctions:
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     @pytest.mark.parametrize("lam", [-0.8, -0.3, 0.0, 0.3, 0.8])
-    def test_analytic_vs_central_difference(self, quartic, action_table, h, lam):
-        m = SpectralModel(quartic, h, table=action_table)
+    def test_analytic_vs_central_difference(self, quartic, h, lam):
+        m = SpectralModel(quartic, h)
         step = 1e-5
 
         def fd(fn):
             return (fn(lam + step) - fn(lam - step)) / (2 * step)
 
         y1 = float(m.y_derivative(np.array([lam]), 1)[0])
-        got = fd(lambda t: float(m.y_h(np.array([t]), extended=True)[0]))
+        got = fd(lambda t: float(m.y_h(np.array([t]))[0]))
         assert abs(got - y1) <= 1e-6 * abs(y1)
 
         y2 = float(m.y_derivative(np.array([lam]), 2)[0])
-        got = fd(lambda t: float(m.y_derivative(np.array([t]), 1, extended=True)[0]))
+        got = fd(lambda t: float(m.y_derivative(np.array([t]), 1)[0]))
         assert abs(got - y2) <= 1e-6 * max(abs(y2), 0.1)
 
         y3 = float(m.y_derivative(np.array([lam]), 3)[0])
-        got = fd(lambda t: float(m.y_derivative(np.array([t]), 2, extended=True)[0]))
+        got = fd(lambda t: float(m.y_derivative(np.array([t]), 2)[0]))
         assert abs(got - y3) <= 1e-6 * max(abs(y3), 0.1)
 
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5
         z1 = float(model_1e4.z_derivative(np.array([lam]), 1)[0])
         fd = float(
-            (model_1e4.z_h(np.array([lam + step]), extended=True)
-             - model_1e4.z_h(np.array([lam - step]), extended=True))[0]
+            (model_1e4.z_h(np.array([lam + step]))
+             - model_1e4.z_h(np.array([lam - step])))[0]
         ) / (2 * step)
         assert abs(fd - z1) <= 1e-6 * abs(z1)
 
@@ -155,13 +153,13 @@ class TestFamilies:
             if k + 1 in betas:
                 assert betas[k + 1] < alpha_k
 
-    def test_count_proportional_to_log_scale(self, quartic, action_table):
+    def test_count_proportional_to_log_scale(self, quartic):
         # integer counts staircase around the trend line, so the 5% residual
         # budget is read as the relative standard error of the fitted slope
         hs = [10 ** (-e / 3) for e in range(9, 37)]
         counts, lnhs = [], []
         for h in hs:
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             w = m.solve_families()
             counts.append(len(w.alphas))
             lnhs.append(abs(math.log(h)))
@@ -173,10 +171,10 @@ class TestFamilies:
         ) / math.sqrt(np.sum((x - x.mean()) ** 2))
         assert se / fit.slope <= 0.05
 
-    def test_gap_scaled_band(self, quartic, action_table):
+    def test_gap_scaled_band(self, quartic):
         scaled = []
         for h in (1e-3, 1e-4, 1e-5):
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             w = m.solve_families()
             lnh = abs(math.log(h))
             for fam in ("alpha", "beta"):
@@ -200,8 +198,8 @@ class TestLadderAndPhaseData:
             assert abs(roots[k] - lam) <= 1e-12
 
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
-    def test_lockstep_roots_equal_scalar_bisect(self, quartic, action_table, h, monkeypatch):
-        m = SpectralModel(quartic, h, table=action_table)
+    def test_lockstep_roots_equal_scalar_bisect(self, quartic, h, monkeypatch):
+        m = SpectralModel(quartic, h)
         got = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
         monkeypatch.setattr(SpectralModel, "_solve_on", _scalar_solve_on)
         want = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
@@ -222,7 +220,7 @@ class TestLadderAndPhaseData:
         n0 = select_alpha_near(roots, -0.4)
         ph = model_1e4.phase_data(roots, n0)
         lam0 = roots[n0]
-        yp = float(model_1e4.y_derivative(np.array([lam0]), 1, extended=True)[0])
+        yp = float(model_1e4.y_derivative(np.array([lam0]), 1)[0])
         assert abs(ph.a1 - 1.0 / yp) <= 1e-14
         assert abs(ph.t_hyp - yp) <= 1e-10
         # finite-difference check of a1 = dA/dx at x = 2 pi n0 via neighbors
@@ -230,10 +228,10 @@ class TestLadderAndPhaseData:
         fd = (lam_p - lam_m) / (2 * TWO_PI)
         assert abs(fd - ph.a1) <= 0.05 * abs(ph.a1)
 
-    def test_scaled_inverse_derivatives_bounded(self, quartic, action_table):
+    def test_scaled_inverse_derivatives_bounded(self, quartic):
         # |A''| |ln h|^3 and |A'''| |ln h|^4 stay in a fixed band
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             roots = m.solve_ladder(lam_center=-0.45, n_side=5)
             n0 = select_alpha_near(roots, -0.45)
             ph = m.phase_data(roots, n0)
@@ -241,10 +239,10 @@ class TestLadderAndPhaseData:
             assert 0.05 < abs(ph.a2) * lnh**3 < 5.0
             assert ph.a3_bound * lnh**4 < 40.0
 
-    def test_center_index_times_h_converges(self, quartic, action_table):
+    def test_center_index_times_h_converges(self, quartic):
         values = []
         for h in (1e-4, 1e-5, 1e-6, 1e-7):
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             w = m.solve_families()
             n0, _ = select_centers(w, 0.0)
             values.append(n0 * h)
@@ -252,10 +250,10 @@ class TestLadderAndPhaseData:
         assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
         assert abs(values[-1]) > 0.01  # limit is a nonzero constant
 
-    def test_hyperbolic_period_linear_in_log_scale(self, quartic, action_table):
+    def test_hyperbolic_period_linear_in_log_scale(self, quartic):
         lnhs, periods = [], []
         for h in (1e-3, 3.16e-4, 1e-4, 3.16e-5, 1e-5, 3.16e-6, 1e-6):
-            m = SpectralModel(quartic, h, table=action_table)
+            m = SpectralModel(quartic, h)
             roots = m.solve_ladder(lam_center=-0.45, n_side=5)
             n0 = select_alpha_near(roots, -0.45)
             periods.append(abs(m.phase_data(roots, n0).t_hyp))

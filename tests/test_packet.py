@@ -213,12 +213,12 @@ class TestCutoffEquivalence:
 
 
 class TestWindowContainment:
-    def test_near_center_set_inside_window_indices(self, quartic, action_table):
+    def test_near_center_set_inside_window_indices(self, quartic):
         """For small enough h the near-center set fits inside the window."""
         from revivalkit.model import SpectralModel
 
         h = 1e-12
-        model = SpectralModel(quartic, h, table=action_table)
+        model = SpectralModel(quartic, h)
         window = model.solve_families()
         spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=h)
         n0, _ = select_centers(window, 0.0)

@@ -17,7 +17,6 @@ from revivalkit.potential import (
     canonical_double_well,
     flow_period,
     harmonic_well,
-    leading_actions,
     leading_epsilon,
     lobe_action,
     regularized_action,
@@ -147,8 +146,6 @@ class TestActions:
             right = regularized_action(quartic, energy, +1)
             left = regularized_action(quartic, energy, -1)
             assert abs(right - left) <= 1e-10
-            data = leading_actions(quartic, energy)
-            assert data.leading_action_plus == data.leading_action_minus
 
     def test_regularized_action_is_smooth(self, quartic):
         # second divided differences bounded across the window, incl. E = 0
@@ -158,7 +155,3 @@ class TestActions:
         mid = 0.5 * (es[1:] + es[:-1])
         d2 = np.diff(d1) / np.diff(mid)
         assert np.max(np.abs(d2)) < 50.0
-
-    def test_energy_window_guard(self, quartic):
-        with pytest.raises(ParameterError):
-            leading_actions(quartic, 0.2, delta=0.1)

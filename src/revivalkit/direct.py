@@ -117,6 +117,15 @@ def _classify_parity(potential: Potential, vec: np.ndarray) -> str:
     return "even" if overlap > 0.0 else "odd"
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed Lanczos start vector, so that repeated solves agree bitwise.
+
+    Random rather than constant: a constant (even) vector has no component
+    along the odd eigenvectors of an even potential's operator.
+    """
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def window_spectrum(
     op: DiscretizedOperator,
     window: tuple[float, float] | None = None,
@@ -127,9 +136,10 @@ def window_spectrum(
     lo, hi = window if window is not None else (-op.h, op.h)
     n = op.matrix.shape[0]
     k = min(k_start, n - 2)
+    v0 = _start_vector(n)
     try:
         while True:
-            vals, vecs = eigsh(op.matrix, k=k, sigma=0.0, which="LM")
+            vals, vecs = eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
             covered = vals[0] < lo and vals[-1] > hi
@@ -156,7 +166,7 @@ def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     try:
         vals = eigsh(
             op.matrix, k=k, sigma=v_min - 0.1 * (abs(v_min) + op.h), which="LM",
-            return_eigenvectors=False,
+            v0=_start_vector(op.matrix.shape[0]), return_eigenvectors=False,
         )
     except (ArpackError, ArpackNoConvergence) as exc:
         raise SolverFailure(f"shift-invert Lanczos failed: {exc}") from exc

@@ -1,10 +1,14 @@
 """Return/autocorrelation series and their order-1/order-2 approximants.
 
-All series are weighted exponential sums over the packet's index offsets.
-Linear and quadratic phases are reduced modulo 1 before exponentiation
-(offsets are integers), which keeps huge time shifts exact; shifts given
-as Fractions combine with an exactly-known T_rev/T_hyp ratio in rational
-arithmetic, the test seam for revival identities.
+All series are weighted exponential sums over the packet's index offsets,
+sum_n w_n exp(-2 pi i (u n + v n^2)) at each time.  Linear and quadratic
+phases are reduced modulo 1 (offsets are integers), which keeps huge time
+shifts exact; shifts given as Fractions combine with an exactly-known
+T_rev/T_hyp ratio in rational arithmetic, the test seam for revival
+identities.  The terms are generated by recurrence over consecutive
+offsets, outward from n = 0: at most three exponentials per time,
+x = exp(-2 pi i u), y = exp(-2 pi i v) and y^2, then complex multiplies,
+in memory linear in the number of times.
 """
 
 from __future__ import annotations
@@ -117,9 +121,80 @@ def _shift_parts(phase: PhaseData, shift_hyp, shift_rev):
     return float(_wrap_unit(lin)), float(_wrap_unit(quad))
 
 
-def _weighted_sum(weights, phases):
-    """sum_n w_n exp(-2 pi i phases[:, n])."""
-    return np.exp(-2j * np.pi * phases) @ weights
+def _split(a):
+    """Veltkamp split a = hi + lo, hi carrying at most 26 significant bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# 2 pi = _TWO_PI + _TWO_PI_LO to twice double precision; _TWO_PI in halves
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16
+_TWO_PI_HI, _TWO_PI_HI_LO = _split(_TWO_PI)
+
+
+def _unit_phasor(w):
+    """exp(-2 pi i w) for w in [0, 1), to about one ulp in phase.
+
+    The recurrence raises y^2 to every power up to the largest offset, so
+    z_n carries its phase error n^2/2 times.  So w is taken to [-1/2, 1/2),
+    and the rounding of 2 pi w, which exp cannot see, is recovered exactly
+    (Dekker's product) and applied to first order.
+    """
+    w = np.where(w >= 0.5, w - 1.0, w)
+    theta = _TWO_PI * w
+    w_hi, w_lo = _split(w)
+    err = ((_TWO_PI_HI * w_hi - theta) + _TWO_PI_HI * w_lo + _TWO_PI_HI_LO * w_hi
+           + _TWO_PI_HI_LO * w_lo + _TWO_PI_LO * w)
+    return np.exp(-1j * theta) * (1.0 - 1j * err)
+
+
+# complex terms held at once: a block of samples times both directions'
+# offsets (8 MB), so memory stays linear in the samples at any support
+_BLOCK_TERMS = 1 << 19
+
+
+def _weighted_sum(weights, offsets, u, v=None):
+    """sum_n w_n exp(-2 pi i (u n + v n^2)) at each u (and v), both reduced mod 1.
+
+    With x = exp(-2 pi i u) and y = exp(-2 pi i v), the terms
+    z_n = x^n y^(n^2) run outward from z_0 = 1 by z_{n+1} = z_n r_n and
+    r_{n+1} = r_n y^2, from r_0 = x y going up and conj(x) y going down:
+    three exponentials and O(max |n|) multiplies per sample.  Both
+    directions advance together, one block of samples at a time; each
+    block's terms are then weighted in one matrix-vector product, with
+    zero weight at the integers that are not offsets.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    u = np.asarray(u, dtype=float)
+    v = None if v is None else np.asarray(v, dtype=float)
+    reach = int(np.max(np.abs(offsets)))
+    # ladder[j] holds the weights of +j and -j (offsets are distinct)
+    ladder = np.zeros((reach + 1, 2), dtype=complex)
+    ladder[np.abs(offsets), (offsets < 0).astype(np.intp)] = weights
+    out = np.full(u.shape, ladder[0, 0], dtype=complex)
+    if reach == 0:
+        return out
+    step = max(1, _BLOCK_TERMS // (2 * reach))
+    for s in range(0, len(u), step):
+        block = slice(s, s + step)
+        if v is None:
+            x = np.exp(-2j * np.pi * u[block])
+            r = np.stack([x, np.conj(x)])
+        else:
+            x, y = np.exp(-2j * np.pi * np.stack([u[block], v[block]]))
+            r = np.stack([x, np.conj(x)]) * y
+            # one row per direction: same-shape products, no broadcasting
+            y2 = np.tile(_unit_phasor((2.0 * v[block]) % 1.0), (2, 1))
+        z = np.empty((reach,) + r.shape, dtype=complex)
+        z[0] = r
+        for k in range(1, reach):
+            if v is not None:
+                r *= y2
+            np.multiply(z[k - 1], r, out=z[k])
+        out[block] += ladder[1:].reshape(-1) @ z.reshape(2 * reach, -1)
+    return out
 
 
 def _order1_phase(phase: PhaseData, t, shift_hyp):
@@ -132,7 +207,7 @@ def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     u = _order1_phase(phase, t, shift_hyp)
-    return _weighted_sum(packet.weights, np.outer(u, packet.offsets))
+    return _weighted_sum(packet.weights, packet.offsets, u)
 
 
 def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
@@ -141,9 +216,7 @@ def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     lin_shift, quad_shift = _shift_parts(phase, shift_hyp, shift_rev)
     u = _wrap_unit(t / phase.t_hyp + lin_shift)
     v = _wrap_unit(t / phase.t_rev + quad_shift)
-    offs = packet.offsets.astype(float)
-    phases = np.outer(u, offs) + np.outer(v, offs**2)
-    return _weighted_sum(packet.weights, phases)
+    return _weighted_sum(packet.weights, packet.offsets, u, v)
 
 
 def order1(packet, phase: PhaseData, t, alpha: float | None = None):
@@ -239,10 +312,13 @@ class FractionalComparison:
 def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     """Compare sum_k b~_k a1(t + T_hyp(k/ell + p N_h/q)) with a2(t + (p/q) N_h T_hyp).
 
-    The clone sum is one weighted sum: exp(-2 pi i (u + k/ell) n) factors
+    The clone sum is one order-1 sum: exp(-2 pi i (u + k/ell) n) factors
     into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
     fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), with k n
-    reduced modulo ell in integers.
+    reduced modulo ell in integers.  It and the shifted order-2 series are
+    each evaluated by the offset recurrence of ``_weighted_sum``: x^n (and
+    y^(n^2)) built by multiplication from n = 0 outward, not exponentiated
+    per sample and offset.
     """
     from .gausssum import coefficients, periodicity_set
 
@@ -255,7 +331,7 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     modes = unit_roots[np.outer(np.arange(ell), offs % ell) % ell]
     weights = packet.weights * (coeffs.phased @ modes)
     u = _order1_phase(phase, t, base_shift)
-    clone = _weighted_sum(weights, np.outer(u, offs))
+    clone = _weighted_sum(weights, offs, u)
     shifted = order2_series(packet, phase, t, shift_hyp=base_shift)
     sup = float(np.max(np.abs(clone - shifted)))
     return FractionalComparison(

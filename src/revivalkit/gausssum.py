@@ -107,18 +107,17 @@ def coefficients(p: int, q: int, n0: int) -> RevivalCoefficients:
     """
     _require_coprime(p, q)
     ell = periodicity_set(p, q).generator
-    # common denominator q*ell: reduce the integer numerators exactly mod q*ell
-    # (Python ints, no overflow), then exponentiate once, vectorized
+    # common denominator q*ell: the numerators p ell (n - n0)^2 - k n q are
+    # reduced mod q*ell in integers, with n0 first reduced in Python ints
+    # so that no int64 product can overflow at any n0
     denom = q * ell
-    nums = [
-        [(p * (n - n0) ** 2 * ell - k * n * q) % denom for n in range(ell)]
-        for k in range(ell)
-    ]
-    phases = np.exp(-2j * np.pi * np.array(nums, dtype=float) / denom)
+    n = np.arange(ell, dtype=np.int64)
+    k = n[:, None]
+    d = (n - n0 % q) % q
+    nums = (p % q * ell * (d * d % q) - k * n * q) % denom
+    phases = np.exp(-2j * np.pi * nums.astype(float) / denom)
     b = phases.sum(axis=1) / ell
-    phased = np.array(
-        [_unit_phase(Fraction(k * n0, ell)) * b[k] for k in range(ell)]
-    )
+    phased = np.exp(-2j * np.pi * ((n * (n0 % ell)) % ell / ell)) * b
     return RevivalCoefficients(p=p, q=q, n0=n0, ell=ell, values=b, phased=phased)
 
 

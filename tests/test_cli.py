@@ -54,6 +54,13 @@ class TestSpectrum:
         assert (tmp_path / "direct_spectrum.csv").exists()
         assert (tmp_path / "plot.gp").exists()
 
+    def test_direct_csv_deterministic(self, tmp_path):
+        args = ["spectrum", "--h", "0.01", "--backend", "both", "--fd-order", "4", "--out"]
+        assert main(args + [str(tmp_path / "a")]) == 0
+        assert main(args + [str(tmp_path / "b")]) == 0
+        csv = "direct_spectrum.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
 
 class TestPacket:
     def test_manifest_normalization(self, tmp_path):

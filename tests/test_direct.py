@@ -99,6 +99,13 @@ class TestWindowSpectrum:
         # order-2 at the bound spacing carries a visible O(dx^2) shift
         assert np.max(np.abs(a - b)) <= 2e-2 * h
 
+    def test_repeated_solves_agree_bitwise(self, op_1e2, spectrum_1e2):
+        # a fixed Lanczos start vector makes the grid spectrum reproducible
+        again = window_spectrum(op_1e2)
+        assert np.array_equal(again.eigenvalues, spectrum_1e2.eigenvalues)
+        assert again.parities == spectrum_1e2.parities
+        assert np.array_equal(lowest_eigenvalues(op_1e2, 4), lowest_eigenvalues(op_1e2, 4))
+
     def test_asymmetric_potential_gets_no_parity(self):
         from revivalkit.potential import Potential
 

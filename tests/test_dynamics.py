@@ -1,6 +1,7 @@
 """Autocorrelation series, approximants, closed forms, fractional clones."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from revivalkit.dynamics import (
     PhaseData,
+    _weighted_sum,
     check_time_scale,
     default_alpha,
     detect_peaks,
@@ -165,6 +167,66 @@ class TestOrder2:
     def test_time_scale_error_named(self, packet, phase):
         with pytest.raises(TimeScaleError):
             check_time_scale(np.array([1e9]), packet.spec.h, 3.0)
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _reference_sum(weights, offsets, u, v=None):
+    """The T x N matrix sum, with (u n + v n^2) mod 1 free of product rounding.
+
+    u and v are split into 26-bit halves, so hi * n and hi * n^2 are exact
+    for |n| < 2**13 and reduce mod 1 exactly; rounding v n^2 directly would
+    itself cost up to ~5e-11 rad at n = 400.
+    """
+    n = offsets.astype(float)
+    phases = np.zeros((len(u), len(n)))
+    for c, m in ((u, n), (v, n * n)):
+        if c is not None:
+            hi, lo = _split(c)
+            phases += np.outer(hi, m) % 1.0 + np.outer(lo, m)
+    return np.exp(-2j * np.pi * (phases % 1.0)) @ weights
+
+
+class TestWeightedSum:
+    """The offset recurrence against the matrix of exponentials it replaces."""
+
+    @pytest.mark.parametrize("layout", ["centred", "gapped", "positive", "negative"])
+    @pytest.mark.parametrize("n_offsets", [1, 2, 41, 201, 401])
+    def test_matches_exponential_matrix(self, n_offsets, layout):
+        rng = np.random.default_rng(n_offsets)
+        offsets = {
+            "centred": np.arange(n_offsets) - n_offsets // 2,
+            "gapped": np.sort(rng.choice(np.arange(-n_offsets, n_offsets + 1), n_offsets, replace=False)),
+            "positive": np.arange(1, n_offsets + 1),
+            "negative": -np.arange(1, n_offsets + 1),
+        }[layout]
+        weights = rng.standard_normal(n_offsets) + 1j * rng.standard_normal(n_offsets)
+        weights /= np.sum(np.abs(weights))
+        u, v = rng.random(97), rng.random(97)
+        err1 = np.abs(_weighted_sum(weights, offsets, u) - _reference_sum(weights, offsets, u))
+        err2 = np.abs(_weighted_sum(weights, offsets, u, v) - _reference_sum(weights, offsets, u, v))
+        assert np.max(err1) <= 1e-13
+        assert np.max(err2) <= 1e-12
+
+    def test_long_grid_memory_is_linear_in_samples(self):
+        # the 201-offset packet of criterion C3 on 200 000 samples: a T x N
+        # phase matrix and its exponential would take ~1.6 GB
+        spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-6)
+        pk = build_coefficients(spec, 137, radius_factor=100.0 / spec.width)
+        assert len(pk.offsets) == 201
+        ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
+        t = np.linspace(0.0, 1000.0 * math.pi, 200_000)
+        tracemalloc.start()
+        try:
+            order2_series(pk, ph, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestExactSeries:

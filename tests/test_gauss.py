@@ -148,6 +148,25 @@ class TestCoefficients:
         assert co.ell == ell
         assert np.max(np.abs(co.moduli_squared - law)) <= 1e-12
 
+    def test_matches_exact_fraction_reference(self):
+        # the Hermitian projection written with exactly reduced Fraction
+        # phases, at centres far past the int64 range of their squares
+        modes = {}
+        for q in range(1, 25):
+            for p in range(1, q + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                ell = periodicity_set(p, q).generator
+                if ell not in modes:
+                    modes[ell] = [fourier_mode(k, ell, range(ell)) for k in range(ell)]
+                for n0 in (0, 7, -13, 10**15 + 7, -(10**18) - 1):
+                    seq = quadratic_phase_sequence(p, q, n0, range(ell))
+                    want = np.array([inner_product(seq, mode) for mode in modes[ell]])
+                    shift = np.array([fourier_mode(k, ell, [n0])[0] for k in range(ell)])
+                    co = coefficients(p, q, n0)
+                    assert np.max(np.abs(co.values - want)) <= 1e-14, (p, q, n0)
+                    assert np.max(np.abs(co.phased - shift * want)) <= 1e-14, (p, q, n0)
+
     def test_generator_minimal_against_divisors(self):
         for p, q in [(1, 6), (1, 8), (3, 10), (1, 9), (5, 12)]:
             ell = periodicity_set(p, q).generator

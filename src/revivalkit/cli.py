@@ -116,10 +116,15 @@ def _spectrum_outputs(args, outdir: Path) -> dict:
             ["family", "index", "lambda", "eigenvalue", "gap_to_next", "parity"],
             spectrum.csv_rows(),
         )
+        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+        residuals = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
         manifest["direct"] = {
             "count": len(spectrum.eigenvalues),
             "grid_points": len(op.grid),
             "dx": op.dx,
+            "max_relative_residual": float(
+                np.max(residuals, initial=0.0) / np.max(np.abs(op.matrix.diagonal()))
+            ),
             "mean_gap_pooled": float(np.mean(spectrum.gaps()))
             if len(spectrum.eigenvalues) > 1
             else None,

@@ -1,8 +1,9 @@
 """Grid-discretized operator oracle: -(h^2/2) d^2/dx^2 + V on [-L, L].
 
-Dirichlet walls, second- or fourth-order stencils, and a shift-invert
-Lanczos solve for the eigenpairs nearest the barrier energy.  Serves as
-the independent cross-check of the spectral model.
+Dirichlet walls, second- or fourth-order stencils, and a banded window
+solve: LAPACK tridiagonal bisection at order 2, an inertia-counted
+shift-invert Lanczos solve at order 4.  Serves as the independent
+cross-check of the spectral model.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ResolutionError, SolverFailure, TruncationError
 from .potential import Potential
@@ -26,7 +28,6 @@ class DiscretizedOperator:
     dx: float
     order: int
     matrix: sp.spmatrix
-    boundary: str = "dirichlet"
 
 
 def resolution_bound(potential: Potential, h: float) -> float:
@@ -110,13 +111,6 @@ class WindowedSpectrum:
             yield ("n/a", i, val / self.h, val, gap, self.parities[i])
 
 
-def _classify_parity(potential: Potential, vec: np.ndarray) -> str:
-    if not potential.even:
-        return "n/a"
-    overlap = float(vec @ vec[::-1])
-    return "even" if overlap > 0.0 else "odd"
-
-
 def _start_vector(n: int) -> np.ndarray:
     """Fixed Lanczos start vector, so that repeated solves agree bitwise.
 
@@ -126,43 +120,49 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def window_spectrum(
-    op: DiscretizedOperator,
-    window: tuple[float, float] | None = None,
-    k_start: int = 16,
-    k_max: int = 256,
-) -> WindowedSpectrum:
-    """Eigenpairs inside the window (default [-h, h]), parity-labeled."""
-    lo, hi = window if window is not None else (-op.h, op.h)
-    n = op.matrix.shape[0]
-    k = min(k_start, n - 2)
-    v0 = _start_vector(n)
+def _count_below(mat: sp.spmatrix, shift: float) -> int:
+    """Eigenvalues of mat below shift, by Sylvester's law of inertia: the negative pivots
+    of the unpivoted LU (= LDL^T, D = diag U) of mat - shift I; one-column panels halve its cost."""
+    n = mat.shape[0]
+    lu = splu(mat - shift * sp.identity(n, format="csc"), permc_spec="NATURAL",
+              diag_pivot_thresh=0.0, panel_size=1, options={"SymmetricMode": True})
+    if np.any(lu.perm_r != np.arange(n)) or np.any(lu.perm_c != np.arange(n)):
+        raise SolverFailure(f"inertia count at {shift:g} needed pivoting")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def window_spectrum(op: DiscretizedOperator) -> WindowedSpectrum:
+    """Eigenpairs inside the window [-h, h], parity-labeled.
+
+    Order 2 is tridiagonal: bisection and inverse iteration on the window.
+    At order 4 two inertia counts give the window's size k; shift-invert about
+    its midpoint 0, through a band-ordered LU, finds exactly its k eigenvalues.
+    """
+    mat, h, n = op.matrix, op.h, op.matrix.shape[0]
     try:
-        while True:
-            vals, vecs = eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-            covered = vals[0] < lo and vals[-1] > hi
-            if covered or k >= min(k_max, n - 2):
-                break
-            k = min(2 * k, n - 2)
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise SolverFailure(f"shift-invert Lanczos failed: {exc}") from exc
-    keep = (vals >= lo) & (vals <= hi)
-    vals, vecs = vals[keep], vecs[:, keep]
-    parities = [_classify_parity(op.potential, vecs[:, i]) for i in range(vecs.shape[1])]
-    return WindowedSpectrum(
-        h=op.h,
-        eigenvalues=vals,
-        parities=parities,
-        eigenvectors=vecs,
-    )
+        if op.order == 2:
+            vals, vecs = eigh_tridiagonal(
+                mat.diagonal(), mat.diagonal(1), select="v", select_range=(-h, h)
+            )
+        else:
+            k = _count_below(mat, h) - _count_below(mat, -h)
+            inv = LinearOperator(mat.shape, splu(mat, permc_spec="NATURAL", panel_size=1).solve, dtype=float)
+            vals, vecs = (eigsh(mat, k=k, sigma=0.0, which="LM", v0=_start_vector(n), OPinv=inv)
+                          if k else (np.empty(0), np.empty((n, 0))))
+    except (ArpackError, ArpackNoConvergence, np.linalg.LinAlgError, RuntimeError) as exc:
+        raise SolverFailure(f"window eigensolve failed: {exc}") from exc
+    if np.any(np.abs(vals) > h):
+        raise SolverFailure("window eigensolve returned values outside [-h, h]")
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    overlaps = np.einsum("ij,ij->j", vecs, vecs[::-1])  # reflection parity
+    parities = [("even" if o > 0.0 else "odd") if op.potential.even else "n/a" for o in overlaps]
+    return WindowedSpectrum(h=h, eigenvalues=vals, parities=parities, eigenvectors=vecs)
 
 
 def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues (oracle for closed-form spectra)."""
-    xs = op.grid
-    v_min = float(np.min(op.potential.evaluate(xs)))
+    v_min = float(np.min(op.potential.evaluate(op.grid)))
     try:
         vals = eigsh(
             op.matrix, k=k, sigma=v_min - 0.1 * (abs(v_min) + op.h), which="LM",

@@ -18,12 +18,12 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write rows as they are formatted, so memory does not grow with the table."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(fmt(v) for v in row) + "\n" for row in rows)
     return path
 
 

@@ -79,19 +79,27 @@ def test_traced_revival_point_records_every_layer():
         assert counts[key] > 0, key
 
 
-def test_traced_oracle_point_records_every_layer():
-    inp = {"h": 1e-2, "fd_order": 2}
+@pytest.mark.parametrize("fd_order", [2, 4])
+def test_traced_oracle_point_records_every_layer(fd_order):
+    inp = {"h": 1e-2, "fd_order": fd_order}
     out, names, counts = _traced(workloads.oracle_point, inp, "oracle")
     assert workloads.oracle_check(inp, out) == []
-    assert {
-        "direct.discretize", "direct.eigsh", "direct.window_spectrum",
+    expected = {
+        "direct.discretize", "direct.window_spectrum",
         "model.solve_families", "model.y_h", "model.z_h",
         "specfun.arg_gamma_half_line", "potential.flow_period",
-    } <= names
-    for key in ("direct.grid_points", "direct.matrix_bytes",
-                "direct.eigenpairs_computed", "direct.eigenpairs_kept",
-                "potential.flow_period.steps", "model.roots"):
+    }
+    keys = ["direct.grid_points", "direct.matrix_bytes", "direct.eigenpairs_kept",
+            "potential.flow_period.steps", "model.roots"]
+    # only the order-4 solve runs Lanczos; order 2 is tridiagonal bisection
+    if fd_order == 4:
+        expected.add("direct.eigsh")
+        keys.append("direct.eigenpairs_computed")
+    assert expected <= names
+    for key in keys:
         assert counts[key] > 0, key
+    if fd_order == 4:
+        assert counts["direct.eigenpairs_computed"] == counts["direct.eigenpairs_kept"]
 
 
 @pytest.mark.parametrize("h, energy", [(1e-4, -0.45), (3e-8, 0.6), (1.3e-12, -0.75)])

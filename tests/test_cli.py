@@ -61,6 +61,14 @@ class TestSpectrum:
         csv = "direct_spectrum.csv"
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
+    @pytest.mark.parametrize("order", ["2", "4"])
+    def test_direct_manifest_reports_residual(self, tmp_path, order):
+        args = ["spectrum", "--h", "0.01", "--backend", "direct", "--fd-order", order]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
+        assert direct["count"] > 0
+        assert 0.0 <= direct["max_relative_residual"] <= 1e-12
+
 
 class TestPacket:
     def test_manifest_normalization(self, tmp_path):

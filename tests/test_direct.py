@@ -6,13 +6,25 @@ import numpy as np
 import pytest
 
 from revivalkit.direct import (
+    _count_below,
     discretize,
     lowest_eigenvalues,
     resolution_bound,
     window_spectrum,
 )
 from revivalkit.errors import ResolutionError, TruncationError
-from revivalkit.potential import canonical_double_well, harmonic_well
+from revivalkit.potential import Potential, canonical_double_well, harmonic_well
+
+
+def tilted_well():
+    return Potential(
+        evaluate=lambda x: x**4 - x**2 + 0.05 * x,
+        first_derivative=lambda x: 4 * x**3 - 2 * x + 0.05,
+        second_derivative=lambda x: 12 * x**2 - 2.0,
+        descriptor="tilted",
+        domain_halfwidth=3.0,
+        even=False,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -107,17 +119,7 @@ class TestWindowSpectrum:
         assert np.array_equal(lowest_eigenvalues(op_1e2, 4), lowest_eigenvalues(op_1e2, 4))
 
     def test_asymmetric_potential_gets_no_parity(self):
-        from revivalkit.potential import Potential
-
-        tilted = Potential(
-            evaluate=lambda x: x**4 - x**2 + 0.05 * x,
-            first_derivative=lambda x: 4 * x**3 - 2 * x + 0.05,
-            second_derivative=lambda x: 12 * x**2 - 2.0,
-            descriptor="tilted",
-            domain_halfwidth=3.0,
-            even=False,
-        )
-        sp = window_spectrum(discretize(tilted, 1e-2, order=4))
+        sp = window_spectrum(discretize(tilted_well(), 1e-2, order=4))
         assert all(p == "n/a" for p in sp.parities)
 
     def test_csv_rows_have_parity_column(self, spectrum_1e2):
@@ -125,6 +127,48 @@ class TestWindowSpectrum:
         assert all(len(r) == 6 for r in rows)
         assert rows[0][0] == "n/a"  # family split not derivable from values
         assert rows[0][5] in ("even", "odd")
+
+
+class TestDenseReference:
+    """The banded solves against every eigenvalue of the dense matrix (~1k points)."""
+
+    H = 5e-2
+
+    @pytest.fixture(scope="class", params=[(w, o) for w in ("quartic", "tilted") for o in (2, 4)],
+                    ids=lambda p: f"{p[0]}-order{p[1]}")
+    def case(self, request):
+        well, order = request.param
+        potential = canonical_double_well() if well == "quartic" else tilted_well()
+        op = discretize(potential, self.H, order=order)
+        return op, np.linalg.eigvalsh(op.matrix.toarray())
+
+    def test_window_matches_dense(self, case):
+        op, dense = case
+        want = dense[np.abs(dense) <= self.H]
+        sp = window_spectrum(op)
+        assert len(want) > 0
+        assert len(sp.eigenvalues) == len(want)
+        scale = np.max(np.abs(op.matrix.diagonal()))
+        assert np.max(np.abs(sp.eigenvalues - want)) <= 1e-12 * scale
+        assert sp.eigenvectors.shape == (op.matrix.shape[0], len(want))
+
+    def test_count_below_matches_dense(self, case):
+        op, dense = case
+        rng = np.random.default_rng(11)
+        shifts = np.concatenate([[-self.H, self.H], rng.uniform(-3 * self.H, 3 * self.H, 4),
+                                 rng.uniform(dense[0], dense[-1], 2)])
+        for shift in shifts:
+            assert _count_below(op.matrix, shift) == np.count_nonzero(dense < shift), shift
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_empty_window(self, order):
+        # levels at 4h (n + 1/2): the lowest, 2h, lies above the window
+        op = discretize(harmonic_well(omega=4.0), self.H, order=order)
+        assert _count_below(op.matrix, self.H) == 0
+        sp = window_spectrum(op)
+        assert sp.eigenvalues.shape == (0,)
+        assert sp.eigenvectors.shape == (op.matrix.shape[0], 0)
+        assert sp.parities == []
 
 
 class TestDualBackend:

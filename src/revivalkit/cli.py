@@ -37,8 +37,6 @@ HYPERBOLIC_SAMPLES = 64
 REVIVAL_SAMPLES = 16
 MAX_SAMPLES = 2_000_000
 
-POTENTIALS = {"quartic": canonical_double_well}
-
 
 def _out_dir(args, command: str) -> Path:
     if args.out:
@@ -47,15 +45,6 @@ def _out_dir(args, command: str) -> Path:
     if env:
         return Path(env) / command
     return Path("runs") / command
-
-
-def _potential(args):
-    try:
-        return POTENTIALS[args.potential]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown potential {args.potential!r}; choices: {sorted(POTENTIALS)}"
-        ) from None
 
 
 def _profile(name: str):
@@ -67,13 +56,18 @@ def _profile(name: str):
         ) from None
 
 
-def _parse_h_list(text: str) -> list[float]:
+def _h_values(value) -> list[float]:
+    """h from a flag (number or comma-separated text) or a config value (number or list)."""
+    if isinstance(value, str):
+        items = [tok for tok in value.split(",") if tok.strip()]
+    else:
+        items = value if isinstance(value, list) else [value]
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad h list {text!r}: {exc}") from None
+        values = [float(v) for v in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad h {value!r}: {exc}") from None
     if not values or any(not 0.0 < v < 1.0 for v in values):
-        raise ConfigError("every h must lie in (0, 1)")
+        raise ConfigError(f"h must lie in (0, 1), got {values}")
     return values
 
 
@@ -91,50 +85,52 @@ def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> Pack
     )
 
 
-def _spectrum_outputs(args, outdir: Path) -> dict:
-    manifest: dict = {"h": args.h, "backend": args.backend}
-    potential = _potential(args)
-    if args.backend in ("model", "both"):
-        window = SpectralModel(potential, args.h).solve_families()
-        write_csv(
-            outdir / "model_spectrum.csv",
-            ["family", "index", "lambda", "eigenvalue", "gap_to_next"],
-            window.csv_rows(),
-        )
-        pooled = [v for _, _, v in window.all_sorted()]
-        manifest["model"] = {
-            "count_alpha": len(window.alphas),
-            "count_beta": len(window.betas),
-            "interleaving_violations": interleaving_violations(window),
-            "mean_gap_pooled": float(np.mean(np.diff(pooled))) if len(pooled) > 1 else None,
-        }
-    if args.backend in ("direct", "both"):
-        op = discretize(potential, args.h, order=args.fd_order)
-        spectrum = window_spectrum(op)
-        write_csv(
-            outdir / "direct_spectrum.csv",
-            ["family", "index", "lambda", "eigenvalue", "gap_to_next", "parity"],
-            spectrum.csv_rows(),
-        )
-        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
-        residuals = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
-        manifest["direct"] = {
-            "count": len(spectrum.eigenvalues),
-            "grid_points": len(op.grid),
-            "dx": op.dx,
-            "max_relative_residual": float(
-                np.max(residuals, initial=0.0) / np.max(np.abs(op.matrix.diagonal()))
-            ),
-            "mean_gap_pooled": float(np.mean(spectrum.gaps()))
-            if len(spectrum.eigenvalues) > 1
-            else None,
-        }
-    return manifest
+def _model_block(window, outdir: Path) -> dict:
+    """Write the model window's CSV; return its manifest block."""
+    write_csv(
+        outdir / "model_spectrum.csv",
+        ["family", "index", "lambda", "eigenvalue", "gap_to_next"],
+        window.csv_rows(),
+    )
+    pooled = [v for _, _, v in window.all_sorted()]
+    return {
+        "count_alpha": len(window.alphas),
+        "count_beta": len(window.betas),
+        "interleaving_violations": interleaving_violations(window),
+        "mean_gap_pooled": float(np.mean(np.diff(pooled))) if len(pooled) > 1 else None,
+    }
+
+
+def _direct_block(h: float, fd_order: int, outdir: Path) -> dict:
+    """Solve the grid window, write its CSV; return its manifest block."""
+    op = discretize(canonical_double_well(), h, order=fd_order)
+    spectrum = window_spectrum(op)
+    write_csv(
+        outdir / "direct_spectrum.csv",
+        ["family", "index", "lambda", "eigenvalue", "gap_to_next", "parity"],
+        spectrum.csv_rows(),
+    )
+    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    residuals = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
+    return {
+        "count": len(vals),
+        "grid_points": len(op.grid),
+        "dx": op.dx,
+        "max_relative_residual": float(
+            np.max(residuals, initial=0.0) / np.max(np.abs(op.matrix.diagonal()))
+        ),
+        "mean_gap_pooled": float(np.mean(spectrum.gaps())) if len(vals) > 1 else None,
+    }
 
 
 def cmd_spectrum(args) -> int:
     outdir = _out_dir(args, "spectrum")
-    manifest = _spectrum_outputs(args, outdir)
+    manifest: dict = {"h": args.h, "backend": args.backend}
+    if args.backend in ("model", "both"):
+        window = SpectralModel(canonical_double_well(), args.h).solve_families()
+        manifest["model"] = _model_block(window, outdir)
+    if args.backend in ("direct", "both"):
+        manifest["direct"] = _direct_block(args.h, args.fd_order, outdir)
     write_json(outdir / "manifest.json", manifest)
     write_plot_script(
         outdir / "plot.gp",
@@ -150,7 +146,7 @@ def cmd_spectrum(args) -> int:
 def cmd_packet(args) -> int:
     outdir = _out_dir(args, "packet")
     spec = _packet_spec(args, gamma_default=0.3, gamma_prime_default=0.8)
-    model = SpectralModel(_potential(args), args.h)
+    model = SpectralModel(canonical_double_well(), args.h)
     window = model.solve_families()
     n0, m0 = select_centers(window, spec.energy)
     packet = build_coefficients(spec, n0)
@@ -194,7 +190,7 @@ def cmd_evolve(args) -> int:
     outdir = _out_dir(args, "evolve")
     spec = _packet_spec(args, gamma_default=0.9, gamma_prime_default=0.2)
     alpha = default_alpha(spec.gamma) if args.alpha is None else args.alpha
-    point = ladder_point(_potential(args), spec)
+    point = ladder_point(canonical_double_well(), spec)
     packet, phase = point.packet, point.phase
     t_hyp = abs(phase.t_hyp)
     t_end = args.periods * t_hyp
@@ -216,8 +212,6 @@ def cmd_evolve(args) -> int:
     if getattr(spec.chi, "chi2_fourier", None) is not None:
         closed = order1_closed_form(packet, phase, t)
         columns["closed_form"] = closed
-    if args.backend in ("direct", "both"):
-        columns["c_direct"] = _direct_autocorrelation(args, spec, t)
     write_csv(
         outdir / "timeseries.csv",
         ["t"] + list(columns),
@@ -260,26 +254,11 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _direct_autocorrelation(args, spec: PacketSpec, t: np.ndarray) -> np.ndarray:
-    potential = _potential(args)
-    op = discretize(potential, args.h, order=args.fd_order)
-    spectrum = window_spectrum(op)
-    parity = args.parity
-    vals = spectrum.parity_family(parity) if potential.even else spectrum.eigenvalues
-    if len(vals) == 0:
-        raise NumericalFailure(f"no direct states with parity {parity!r}")
-    scaled = np.sort(vals) / args.h
-    center = int(np.argmin(np.abs(scaled - spec.energy)))
-    ladder = {i: v for i, v in enumerate(scaled)}
-    packet = build_coefficients(spec, center, index_set=ladder.keys())
-    return np.abs(exact_series(ladder, packet, t))
-
-
 def cmd_revival(args) -> int:
     outdir = _out_dir(args, "revival")
     spec = _packet_spec(args, gamma_default=0.3, gamma_prime_default=0.8)
     beta = default_beta(spec.gamma) if args.beta is None else args.beta
-    point = ladder_point(_potential(args), spec)
+    point = ladder_point(canonical_double_well(), spec)
     packet, phase = point.packet, point.phase
     t_hyp, t_rev = abs(phase.t_hyp), abs(phase.t_rev)
     t_end = 1.2 * t_rev
@@ -329,25 +308,16 @@ def cmd_gauss(args) -> int:
     n0 = args.n0 if args.n0 is not None else 0
     pset = periodicity_set(args.p, args.q)
     coeffs = coefficients(args.p, args.q, n0)
-    ell, expected = modulus_law(args.p, args.q)
+    _, expected = modulus_law(args.p, args.q)
     rows = []
     for k in range(coeffs.ell):
-        got = float(np.abs(coeffs.values[k]) ** 2)
-        want = float(expected[k]) if coeffs.ell == ell else float("nan")
-        ok = abs(got - want) <= 1e-12 if not math.isnan(want) else True
-        rows.append(
-            (
-                k,
-                coeffs.values[k].real,
-                coeffs.values[k].imag,
-                got,
-                want,
-                "pass" if ok else "FAIL",
-            )
-        )
+        b = coeffs.values[k]
+        got, want = float(np.abs(b) ** 2), float(expected[k])
+        status = "pass" if abs(got - want) <= 1e-12 else "FAIL"
+        rows.append((k, b.real, b.imag, got, want, status))
         print(
-            f"k={k} b=({coeffs.values[k].real:+.6f},{coeffs.values[k].imag:+.6f}) "
-            f"|b|^2={got:.12f} expected={want:.12f} {'pass' if ok else 'FAIL'}"
+            f"k={k} b=({b.real:+.6f},{b.imag:+.6f}) "
+            f"|b|^2={got:.12f} expected={want:.12f} {status}"
         )
     write_csv(
         outdir / "gauss_table.csv",
@@ -369,28 +339,20 @@ def cmd_gauss(args) -> int:
 
 
 def _sweep_point(args, h: float, outdir: Path) -> dict:
-    potential = _potential(args)
+    potential = canonical_double_well()
     model = SpectralModel(potential, h)
     window = model.solve_families()
-    pooled = [v for _, _, v in window.all_sorted()]
     lnh = abs(math.log(h))
     record: dict = {
         "h": h,
         "log_scale": lnh,
-        "count_alpha": len(window.alphas),
-        "count_beta": len(window.betas),
-        "interleaving_violations": interleaving_violations(window),
+        "model": _model_block(window, outdir),
         "scaled_gaps": [
             float(g * lnh / h)
             for name in ("alpha", "beta")
             for g in window.gaps(name)
         ],
     }
-    write_csv(
-        outdir / "model_spectrum.csv",
-        ["family", "index", "lambda", "eigenvalue", "gap_to_next"],
-        window.csv_rows(),
-    )
     roots = model.solve_ladder(lam_center=args.E, n_side=4)
     n0 = select_alpha_near(roots, args.E)
     phase = model.phase_data(roots, n0)
@@ -406,27 +368,17 @@ def _sweep_point(args, h: float, outdir: Path) -> dict:
         record["tau_classical"] = orbit.period
         record["energy_drift"] = orbit.energy_drift
     if args.backend in ("direct", "both"):
-        op = discretize(potential, h, order=args.fd_order)
-        spectrum = window_spectrum(op)
-        record["direct_count"] = len(spectrum.eigenvalues)
-        record["direct_mean_gap"] = (
-            float(np.mean(spectrum.gaps())) if len(spectrum.eigenvalues) > 1 else None
-        )
+        record["direct"] = _direct_block(h, args.fd_order, outdir)
     return record
 
 
 def cmd_sweep(args) -> int:
     outdir = _out_dir(args, "sweep")
     hs = args.h_list
-    records: list[dict] = [None] * len(hs)
-
-    def run(i: int) -> None:
-        h = hs[i]
-        sub = outdir / f"h={h:.3e}"
-        records[i] = _sweep_point(args, h, sub)
-
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        list(pool.map(run, range(len(hs))))
+        records = list(
+            pool.map(lambda h: _sweep_point(args, h, outdir / f"h={h:.3e}"), hs)
+        )
 
     lnhs = [r["log_scale"] for r in records]
     manifest: dict = {"h_list": hs, "points": records}
@@ -443,7 +395,7 @@ def cmd_sweep(args) -> int:
             "intercept": tau_fit.intercept,
             "max_residual_over_slope": tau_fit.max_abs_residual / abs(tau_fit.slope),
         }
-    counts = [r["count_alpha"] + r["count_beta"] for r in records]
+    counts = [r["model"]["count_alpha"] + r["model"]["count_beta"] for r in records]
     c_fit = linear_fit(lnhs, counts)
     manifest["count_fit"] = {
         "slope": c_fit.slope,
@@ -465,12 +417,12 @@ def cmd_sweep(args) -> int:
             (
                 r["h"],
                 r["log_scale"],
-                r["count_alpha"] + r["count_beta"],
+                count,
                 r["t_hyp"],
                 r["t_rev"],
                 r["theta_frac"],
             )
-            for r in records
+            for r, count in zip(records, counts)
         ],
     )
     write_plot_script(
@@ -482,91 +434,76 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--potential", default="quartic")
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--config", default=None, help="JSON file with defaults")
-
-
-def _add_physics(sub: argparse.ArgumentParser, h_as_text: bool = False) -> None:
-    if h_as_text:
-        sub.add_argument("--h", default="1e-3,1e-4", help="comma-separated list")
-    else:
-        sub.add_argument("--h", type=float, default=1e-4)
+def _add_packet(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--h", type=float, default=1e-4)
     sub.add_argument("--E", type=float, default=-0.45)
     sub.add_argument("--gamma", type=float, default=None)
     sub.add_argument("--gamma-prime", dest="gamma_prime", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--chi", default="gaussian")
+
+
+def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=("model", "direct", "both"), default="model")
     sub.add_argument("--fd-order", dest="fd_order", type=int, choices=(2, 4), default=2)
-    sub.add_argument("--parity", choices=("even", "odd"), default="even")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Each subcommand accepts exactly the options its cmd_* reads, plus --out and --config."""
     parser = argparse.ArgumentParser(
         prog="revivalkit",
         description="barrier-top spectral model, wave packets and revival dynamics",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     sub_map: dict[str, argparse.ArgumentParser] = {}
 
-    s = subs.add_parser("spectrum", help="eigenvalue families in [-h, h]")
-    _add_common(s)
-    _add_physics(s)
-    s.set_defaults(func=cmd_spectrum)
-    sub_map["spectrum"] = s
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        # no prefix matching: `evolve --p` must not pass for `--periods`
+        s = subs.add_parser(name, help=summary, allow_abbrev=False)
+        s.add_argument("--out", default=None)
+        s.add_argument("--config", default=None, help="JSON file with defaults")
+        s.set_defaults(func=func)
+        sub_map[name] = s
+        return s
 
-    s = subs.add_parser("packet", help="coefficient sequence and normalization")
-    _add_common(s)
-    _add_physics(s)
-    s.set_defaults(func=cmd_packet)
-    sub_map["packet"] = s
+    s = add("spectrum", cmd_spectrum, "eigenvalue families in [-h, h]")
+    s.add_argument("--h", type=float, default=1e-4)
+    _add_backend(s)
 
-    s = subs.add_parser("evolve", help="hyperbolic-scale autocorrelation run")
-    _add_common(s)
-    _add_physics(s)
+    s = add("packet", cmd_packet, "coefficient sequence and normalization")
+    _add_packet(s)
+
+    s = add("evolve", cmd_evolve, "hyperbolic-scale autocorrelation run")
+    _add_packet(s)
+    s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--periods", type=float, default=1.0)
-    s.set_defaults(func=cmd_evolve)
-    sub_map["evolve"] = s
 
-    s = subs.add_parser("revival", help="revival-scale order-2 run")
-    _add_common(s)
-    _add_physics(s)
+    s = add("revival", cmd_revival, "revival-scale order-2 run")
+    _add_packet(s)
+    s.add_argument("--beta", type=float, default=None)
     s.add_argument("--p", type=int, action="append", default=None)
     s.add_argument("--q", type=int, action="append", default=None)
-    s.set_defaults(func=cmd_revival)
-    sub_map["revival"] = s
 
-    s = subs.add_parser("gauss", help="clone-coefficient table for one p/q")
-    _add_common(s)
+    s = add("gauss", cmd_gauss, "clone-coefficient table for one p/q")
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--q", type=int, default=None)
     s.add_argument("--n0", type=int, default=None)
-    s.set_defaults(func=cmd_gauss)
-    sub_map["gauss"] = s
 
-    s = subs.add_parser("sweep", help="run the pipeline across an h list")
-    _add_common(s)
-    _add_physics(s, h_as_text=True)
+    s = add("sweep", cmd_sweep, "run the pipeline across an h list")
+    s.add_argument("--h", default="1e-3,1e-4", help="comma-separated list")
+    s.add_argument("--E", type=float, default=-0.45)
+    _add_backend(s)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--classical", action="store_true")
-    s.set_defaults(func=cmd_sweep)
-    sub_map["sweep"] = s
     return parser, sub_map
 
 
-_CONFIG_KEYS = {
-    "potential", "out", "h", "E", "gamma", "gamma_prime", "alpha", "beta",
-    "chi", "backend", "fd_order", "parity", "periods", "p", "q", "n0",
-    "jobs", "classical",
-}
+def _config_defaults(argv: list[str], sub: argparse.ArgumentParser) -> dict:
+    """Config-file values become subcommand defaults; flags override them.
 
-
-def _config_defaults(argv: list[str]) -> dict:
-    """Config-file values become subcommand defaults; flags override them."""
+    A key must name an option of the subcommand (other than --config itself).
+    """
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -581,23 +518,21 @@ def _config_defaults(argv: list[str]) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
+    known = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
     out = {}
     for key, value in payload.items():
         dest = key.replace("-", "_")
-        if dest not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if dest not in known:
+            raise ConfigError(f"config key {key!r} is not an option of {sub.prog!r}")
         out[dest] = value
     return out
 
 
 def _normalize(args: argparse.Namespace) -> argparse.Namespace:
     if args.command == "sweep":
-        if isinstance(args.h, str):
-            args.h_list = _parse_h_list(args.h)
-        elif isinstance(args.h, (int, float)):
-            args.h_list = [float(args.h)]
-        else:
-            args.h_list = [float(v) for v in args.h]
+        args.h_list = _h_values(args.h)
+    elif args.command != "gauss":
+        (args.h,) = _h_values([args.h])
     if args.command == "revival":
         ps = args.p if args.p else [1]
         qs = args.q if args.q else [2]
@@ -616,11 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     parser, sub_map = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        defaults = _config_defaults(argv)
-        if defaults:
-            command = next((tok for tok in argv if tok in sub_map), None)
-            if command is not None:
-                sub_map[command].set_defaults(**defaults)
+        command = next((tok for tok in argv if tok in sub_map), None)
+        if command is not None:
+            sub_map[command].set_defaults(**_config_defaults(argv, sub_map[command]))
         args = parser.parse_args(argv)
         args = _normalize(args)
         return args.func(args)

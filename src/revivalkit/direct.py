@@ -19,6 +19,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from .errors import ResolutionError, SolverFailure, TruncationError
 from .potential import Potential
 
+WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
+
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
@@ -43,7 +45,6 @@ def discretize(
     L: float | None = None,
     dx: float | None = None,
     order: int = 2,
-    margin: float = 0.5,
 ) -> DiscretizedOperator:
     """Assemble the symmetric finite-difference operator."""
     if order not in (2, 4):
@@ -55,9 +56,9 @@ def discretize(
         raise ResolutionError(
             f"dx={dx:g} coarser than the window-top bound {bound:g}"
         )
-    if not (potential.evaluate(L) > h + margin and potential.evaluate(-L) > h + margin):
+    if not (potential.evaluate(L) > h + WALL_MARGIN and potential.evaluate(-L) > h + WALL_MARGIN):
         raise TruncationError(
-            f"V(+-{L:g}) must exceed h + {margin:g} to confine windowed states"
+            f"V(+-{L:g}) must exceed h + {WALL_MARGIN:g} to confine windowed states"
         )
     n_cells = int(math.ceil(2.0 * L / dx))
     if n_cells % 2 == 1:
@@ -158,16 +159,3 @@ def window_spectrum(op: DiscretizedOperator) -> WindowedSpectrum:
     overlaps = np.einsum("ij,ij->j", vecs, vecs[::-1])  # reflection parity
     parities = [("even" if o > 0.0 else "odd") if op.potential.even else "n/a" for o in overlaps]
     return WindowedSpectrum(h=h, eigenvalues=vals, parities=parities, eigenvectors=vecs)
-
-
-def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues (oracle for closed-form spectra)."""
-    v_min = float(np.min(op.potential.evaluate(op.grid)))
-    try:
-        vals = eigsh(
-            op.matrix, k=k, sigma=v_min - 0.1 * (abs(v_min) + op.h), which="LM",
-            v0=_start_vector(op.matrix.shape[0]), return_eigenvectors=False,
-        )
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise SolverFailure(f"shift-invert Lanczos failed: {exc}") from exc
-    return np.sort(vals)

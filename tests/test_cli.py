@@ -5,7 +5,76 @@ import math
 
 import pytest
 
-from revivalkit.cli import main
+from revivalkit.cli import build_parser, main
+
+PACKET = {"--h", "--E", "--gamma", "--gamma-prime", "--chi"}
+OPTIONS = {
+    "spectrum": {"--h", "--backend", "--fd-order"},
+    "packet": PACKET,
+    "evolve": PACKET | {"--alpha", "--periods"},
+    "revival": PACKET | {"--beta", "--p", "--q"},
+    "gauss": {"--p", "--q", "--n0"},
+    "sweep": {"--h", "--E", "--backend", "--fd-order", "--jobs", "--classical"},
+}
+
+
+class TestOptions:
+    """Each subcommand accepts exactly the options its command reads."""
+
+    def test_option_sets_pinned(self):
+        _, subs = build_parser()
+        got = {
+            name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, sub in subs.items()
+        }
+        assert got == {name: opts | {"--out", "--config"} for name, opts in OPTIONS.items()}
+        assert sum(len(opts) for opts in got.values()) == 44
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--gamma", "0.3"],
+            ["spectrum", "--potential", "quartic"],
+            ["packet", "--backend", "direct"],
+            ["evolve", "--fd-order", "4"],
+            ["evolve", "--p", "1"],  # no prefix match onto --periods
+            ["revival", "--parity", "odd"],
+            ["gauss", "--h", "1e-3"],
+            ["sweep", "--chi", "bump"],
+        ],
+        ids=" ".join,
+    )
+    def test_foreign_flag_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["spectrum", "--h", "2"], None),
+            (["spectrum", "--h", "1.5", "--backend", "direct"], None),
+            (["spectrum", "--h", "-1", "--backend", "direct"], None),
+            (["spectrum", "--h", "0", "--backend", "direct"], None),
+            (["spectrum", "--backend", "direct"], {"h": 1.5}),
+            (["packet"], {"h": 0}),
+            (["sweep", "--h", "1e-3,1"], None),
+            (["sweep"], {"h": [1e-3, -1e-3]}),
+        ],
+        ids=["2", "1.5-direct", "-1-direct", "0-direct", "config-1.5", "config-0", "list",
+             "config-list"],
+    )
+    def test_h_outside_unit_interval_is_config_error(self, tmp_path, capsys, argv, config):
+        # h is checked once, at the CLI boundary, for flags and config values alike
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGauss:
     def test_quarter_table(self, tmp_path, capsys):
@@ -162,6 +231,21 @@ class TestSweep:
         assert (tmp_path / "h=1.000e-03" / "model_spectrum.csv").exists()
         assert (tmp_path / "sweep_summary.csv").exists()
 
+    def test_window_outputs_match_spectrum(self, tmp_path):
+        # sweep and spectrum share one window summary per backend
+        grid = ["--backend", "both", "--fd-order", "4"]
+        assert main(["sweep", "--h", "1e-2,1e-3", *grid, "--out", str(tmp_path / "sw")]) == 0
+        points = json.loads((tmp_path / "sw" / "manifest.json").read_text())["points"]
+        for h, point in zip(("1e-2", "1e-3"), points):
+            spec = tmp_path / f"spec{h}"
+            assert main(["spectrum", "--h", h, *grid, "--out", str(spec)]) == 0
+            manifest = json.loads((spec / "manifest.json").read_text())
+            assert point["model"] == manifest["model"]
+            assert point["direct"] == manifest["direct"]
+            sub = tmp_path / "sw" / f"h={float(h):.3e}"
+            for csv in ("model_spectrum.csv", "direct_spectrum.csv"):
+                assert (sub / csv).read_bytes() == (spec / csv).read_bytes()
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):
@@ -178,11 +262,18 @@ class TestConfigFile:
         assert m2["q"] == 5  # explicit flag wins over the file
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        code = main(["gauss", "--p", "1", "--q", "2", "--config", str(cfg)])
-        assert code == 2
-        assert "ConfigError" in capsys.readouterr().err
+        # a key must name an option of the subcommand itself
+        cases = [("gauss", "nonsense"), ("gauss", "fd-order"), ("spectrum", "gamma"),
+                 ("packet", "backend"), ("sweep", "alpha"), ("evolve", "potential")]
+        for command, key in cases:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: 1}))
+            argv = [command] + (["--p", "1", "--q", "2"] if command == "gauss" else [])
+            out = tmp_path / "out"
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert "ConfigError" in err and key in err
+            assert not out.exists()
 
 
 def test_env_var_sets_default_out(tmp_path, monkeypatch):

@@ -13,9 +13,23 @@ from revivalkit.model import (
     select_alpha_near,
 )
 from revivalkit.packet import select_centers
+from revivalkit.potential import Potential
 from revivalkit.util import linear_fit
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture(scope="module")
+def skewed():
+    """V = x^4 + 0.2 x^3 - x^2: a non-degenerate barrier top at 0, no reflection symmetry."""
+    return Potential(
+        evaluate=lambda x: x**4 + 0.2 * x**3 - x**2,
+        first_derivative=lambda x: 4.0 * x**3 + 0.6 * x**2 - 2.0 * x,
+        second_derivative=lambda x: 12.0 * x**2 + 1.2 * x - 2.0,
+        descriptor="skewed",
+        domain_halfwidth=3.0,
+        even=False,
+    )
 
 
 def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
@@ -96,24 +110,26 @@ class TestPhaseFunctions:
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
     @pytest.mark.parametrize("lam", [-0.8, -0.3, 0.0, 0.3, 0.8])
-    def test_analytic_vs_central_difference(self, quartic, h, lam):
-        m = SpectralModel(quartic, h)
+    def test_analytic_vs_central_difference(self, quartic, skewed, h, lam):
+        # the skewed well runs the non-even branch: g, the general tunneling
+        # angle and its chain-rule derivatives
         step = 1e-5
 
         def fd(fn):
             return (fn(lam + step) - fn(lam - step)) / (2 * step)
 
-        y1 = float(m.y_derivative(np.array([lam]), 1)[0])
-        got = fd(lambda t: float(m.y_h(np.array([t]))[0]))
-        assert abs(got - y1) <= 1e-6 * abs(y1)
+        for potential in (quartic, skewed):
+            m = SpectralModel(potential, h)
+            for phase, deriv in ((m.y_h, m.y_derivative), (m.z_h, m.z_derivative)):
+                where = (potential.descriptor, phase.__name__)
+                d1 = float(deriv(np.array([lam]), 1)[0])
+                got = fd(lambda t: float(phase(np.array([t]))[0]))
+                assert abs(got - d1) <= 1e-6 * abs(d1), where
 
-        y2 = float(m.y_derivative(np.array([lam]), 2)[0])
-        got = fd(lambda t: float(m.y_derivative(np.array([t]), 1)[0]))
-        assert abs(got - y2) <= 1e-6 * max(abs(y2), 0.1)
-
-        y3 = float(m.y_derivative(np.array([lam]), 3)[0])
-        got = fd(lambda t: float(m.y_derivative(np.array([t]), 2)[0]))
-        assert abs(got - y3) <= 1e-6 * max(abs(y3), 0.1)
+                for order in (2, 3):
+                    want = float(deriv(np.array([lam]), order)[0])
+                    got = fd(lambda t: float(deriv(np.array([t]), order - 1)[0]))
+                    assert abs(got - want) <= 1e-6 * max(abs(want), 0.1), (*where, order)
 
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5

@@ -82,7 +82,7 @@ class NoPeaks(NumericalFailure):
 
 
 class NotCoprime(ConfigError):
-    """(p, q) must be coprime with q >= 1."""
+    """p and q must be coprime."""
 
 
 class PeriodMismatch(ConfigError):

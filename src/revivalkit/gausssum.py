@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotCoprime, PeriodMismatch
+from .errors import NotCoprime, ParameterError, PeriodMismatch
 
 
 def _require_coprime(p: int, q: int) -> None:
     if q < 1:
-        raise NotCoprime(f"q must be a positive integer, got {q}")
+        raise ParameterError(f"q must be a positive integer, got {q}")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
 

@@ -24,21 +24,22 @@ from .errors import (
 )
 from .potential import Potential, regularized_action, validate_saddle
 from .specfun import arg_gamma_half_line, digamma, tetragamma, trigamma
+from .util import bisect_lockstep
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class ActionTable:
-    """Chebyshev representation of the regularized lobe actions on [-delta, delta]."""
+    """Chebyshev fits of the regularized lobe actions on [-delta, delta].
+
+    plus[k] and minus[k] are the k-th derivatives (k = 0..3) of the right-
+    and left-lobe fits.
+    """
 
     delta: float
-    plus: Chebyshev
-    minus: Chebyshev
-
-    def derivative(self, side: int, order: int) -> Chebyshev:
-        poly = self.plus if side > 0 else self.minus
-        return poly.deriv(order) if order else poly
+    plus: tuple[Chebyshev, ...]
+    minus: tuple[Chebyshev, ...]
 
 
 # energy half-width of the fit, Chebyshev nodes, Gauss-Jacobi nodes per action
@@ -55,56 +56,15 @@ def build_action_table(potential: Potential) -> ActionTable:
     delta = ACTION_DELTA
     j = np.arange(FIT_NODES)
     nodes = delta * np.cos((2 * j + 1) * np.pi / (2 * FIT_NODES))
-    vals_p = np.array(
-        [regularized_action(potential, float(e), +1, QUAD_NODES) for e in nodes]
-    )
-    cheb_p = Chebyshev.fit(nodes, vals_p, deg=FIT_NODES - 1, domain=[-delta, delta])
-    if potential.even:
-        cheb_m = cheb_p
-    else:
-        vals_m = np.array(
-            [regularized_action(potential, float(e), -1, QUAD_NODES) for e in nodes]
-        )
-        cheb_m = Chebyshev.fit(nodes, vals_m, deg=FIT_NODES - 1, domain=[-delta, delta])
-    table = ActionTable(delta=delta, plus=cheb_p, minus=cheb_m)
+    fits = []
+    for side in (+1,) if potential.even else (+1, -1):
+        vals = regularized_action(potential, nodes, side, QUAD_NODES)
+        fit = Chebyshev.fit(nodes, vals, deg=FIT_NODES - 1, domain=[-delta, delta])
+        fits.append((fit,) + tuple(fit.deriv(k) for k in (1, 2, 3)))
+    # an even potential's lobes share one fit
+    table = ActionTable(delta=delta, plus=fits[0], minus=fits[-1])
     _TABLE_CACHE[potential.descriptor] = table
     return table
-
-
-# scipy.optimize.bisect's tolerances and iteration cap, as used for every root
-BISECT_XTOL, BISECT_RTOL, BISECT_MAXITER = 1e-15, 8.9e-16, 100
-
-
-def _bisect_lockstep(func, xa, xb, fa, fb, targets):
-    """Roots of func(x) = targets, one per bracket [xa, xb], bisected together.
-
-    Each step is scipy.optimize.bisect's update applied to every open
-    bracket, with one vector evaluation of func, so every root is the one
-    scipy returns for its bracket alone.  fa and fb are func - targets at
-    the bracket ends; only the sign of fa is used past the first test.
-    """
-    roots = np.where(fa == 0.0, xa, xb)
-    open_ = np.nonzero((fa != 0.0) & (fb != 0.0))[0]
-    xa, fa, targets = xa[open_], fa[open_], targets[open_]
-    dm = xb[open_] - xa
-    for _ in range(BISECT_MAXITER):
-        if len(open_) == 0:
-            break
-        dm = 0.5 * dm
-        xm = xa + dm
-        fm = func(xm) - targets
-        if np.any(np.isnan(fm)):
-            raise NumericalError("quantization phase is NaN inside a root bracket")
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < BISECT_XTOL + BISECT_RTOL * np.abs(xm))
-        roots[open_[done]] = xm[done]
-        keep = ~done
-        open_, xa, fa, dm, targets = open_[keep], xa[keep], fa[keep], dm[keep], targets[keep]
-    if len(open_):
-        raise NumericalError(
-            f"{len(open_)} quantization roots still open after {BISECT_MAXITER} bisections"
-        )
-    return roots
 
 
 @dataclass(frozen=True)
@@ -161,23 +121,16 @@ class SpectralModel:
         self.lnh = math.log(h)
         self.w = potential.curvature_scale
         self.table = build_action_table(potential)
-        self._deriv_cache: dict[tuple[int, int], Chebyshev] = {}
 
     # -- plumbing ---------------------------------------------------------
 
-    def _action_deriv(self, side: int, order: int) -> Chebyshev:
-        key = (side, order)
-        if key not in self._deriv_cache:
-            self._deriv_cache[key] = self.table.derivative(side, order)
-        return self._deriv_cache[key]
-
     def _lobe_sum(self, order: int, energy):
         """Sum of the two lobe actions' order-th derivatives at the energies."""
-        plus = self._action_deriv(+1, order)(energy)
+        plus = self.table.plus[order](energy)
         if self.potential.even:
             # both lobes share one fit: a + a == 2a exactly
             return 2.0 * plus
-        return plus + self._action_deriv(-1, order)(energy)
+        return plus + self.table.minus[order](energy)
 
     def _check_domain(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -203,10 +156,8 @@ class SpectralModel:
     def _g(self, lam):
         if self.potential.even:
             return np.zeros_like(lam)
-        return (
-            self._action_deriv(+1, 0)(lam * self.h)
-            - self._action_deriv(-1, 0)(lam * self.h)
-        ) / (2.0 * self.h)
+        table = self.table
+        return (table.plus[0](lam * self.h) - table.minus[0](lam * self.h)) / (2.0 * self.h)
 
     def _tunneling_angle(self, lam):
         """arccos(cos g / sqrt(1 + e^{2 pi eps/h})), overflow-safe when g = 0."""
@@ -269,10 +220,7 @@ class SpectralModel:
         )
         g = self._g(lam)
         gd = [
-            (
-                self._action_deriv(+1, k)(lam * h)
-                - self._action_deriv(-1, k)(lam * h)
-            )
+            (self.table.plus[k](lam * h) - self.table.minus[k](lam * h))
             * h ** (k - 1)
             / 2.0
             for k in range(1, 4)
@@ -354,7 +302,7 @@ class SpectralModel:
             k = int(ks[np.argmax(missing)])
             raise RootBracketError(f"could not bracket the k={k} root")
         i = np.maximum(first - 1, 0)
-        lams = _bisect_lockstep(func, grid[i], grid[i + 1],
+        lams = bisect_lockstep(func, grid[i], grid[i + 1],
                                 fv[i] - targets, fv[i + 1] - targets, targets)
         return {int(k): float(lam) for k, lam in zip(ks, lams)}
 

@@ -2,18 +2,18 @@
 
 Covers the confining wells with a non-degenerate barrier top at x = 0,
 Hamiltonian flow with period detection near the saddle, and the
-regularized action integrals of the two lobes of the level sets.
+regularized action integrals of the two lobes of the level sets.  The
+turning points and actions take a whole array of energies in one pass;
+every root, here and in the model, comes from util.bisect_lockstep.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     ToleranceFailure,
     TopologyError,
 )
+from .util import bisect_lockstep
 
 Array = np.ndarray
 
@@ -109,14 +110,27 @@ _Y4_W0 = -(2.0 ** (1.0 / 3.0)) * _Y4_W1
 _Y4_COEFFS = (_Y4_W1, _Y4_W0, _Y4_W1)
 
 
+# the orbit must close within CLOSURE_TOL * max(1, x0) of its start; the
+# energy drift is sampled every DRIFT_STRIDE steps and at the return
+CLOSURE_TOL, DRIFT_STRIDE = 1e-6, 64
+
+
+def _hermite(s, y0, d0, y1, d1):
+    """Cubic Hermite interpolant on [0, 1] with end values y0, y1 and end slopes d0, d1."""
+    return (
+        (2 * s**3 - 3 * s**2 + 1) * y0
+        + (s**3 - 2 * s**2 + s) * d0
+        + (-2 * s**3 + 3 * s**2) * y1
+        + (s**3 - s**2) * d1
+    )
+
+
 def flow_period(
     potential: Potential,
     h: float,
     dt: float = 1e-3,
     max_time: float = 200.0,
     drift_tol: float = 1e-9,
-    closure_tol: float = 1e-6,
-    sample_stride: int = 64,
 ) -> ClassicalOrbitResult:
     """Integrate the flow from (sqrt(h), 0) until its first return.
 
@@ -128,7 +142,7 @@ def flow_period(
         raise ParameterError(f"h must lie in (0, 1), got {h:g}")
     grad = potential.first_derivative
     x0 = float(np.sqrt(h))
-    e0 = 0.5 * 0.0 + float(potential.evaluate(x0))
+    e0 = float(potential.evaluate(x0))
 
     def step(x: float, xi: float, tau: float) -> tuple[float, float]:
         for c in _Y4_COEFFS:
@@ -138,6 +152,9 @@ def flow_period(
             xi -= 0.5 * dtc * grad(x)
         return x, xi
 
+    def energy_error(x: float, xi: float) -> float:
+        return abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
+
     x, xi, t = x0, 0.0, 0.0
     max_drift = 0.0
     n_steps = int(np.ceil(max_time / dt))
@@ -145,137 +162,120 @@ def flow_period(
         px, pxi, pt = x, xi, t
         x, xi = step(x, xi, dt)
         t += dt
-        if i % sample_stride == 0:
-            max_drift = max(
-                max_drift, abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
-            )
+        if i % DRIFT_STRIDE == 0:
+            max_drift = max(max_drift, energy_error(x, xi))
         if i > 4 and pxi < 0.0 <= xi:
-            d0, d1 = -grad(px), -grad(x)
-
-            def xi_model(s: float) -> float:
-                h00 = 2 * s**3 - 3 * s**2 + 1
-                h10 = s**3 - 2 * s**2 + s
-                h01 = -2 * s**3 + 3 * s**2
-                h11 = s**3 - s**2
-                return h00 * pxi + h10 * dt * d0 + h01 * xi + h11 * dt * d1
-
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if xi_model(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            s = 0.5 * (lo + hi)
-            period = pt + s * dt
-            h00 = 2 * s**3 - 3 * s**2 + 1
-            h10 = s**3 - 2 * s**2 + s
-            h01 = -2 * s**3 + 3 * s**2
-            h11 = s**3 - s**2
-            x_cross = h00 * px + h10 * dt * pxi + h01 * x + h11 * dt * xi
-            drift = max(
-                max_drift, abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
-            )
+            # xi' = -V'(x); s in [0, 1] is the fraction of the step
+            slope0, slope1 = -dt * grad(px), -dt * grad(x)
+            s = float(bisect_lockstep(
+                lambda s: _hermite(s, pxi, slope0, xi, slope1),
+                np.zeros(1), np.ones(1), np.array([pxi]), np.array([xi]), np.zeros(1),
+            )[0])
+            x_cross = _hermite(s, px, dt * pxi, x, dt * xi)
+            drift = max(max_drift, energy_error(x, xi))
             if drift > drift_tol:
-                raise ToleranceFailure(
-                    f"energy drift {drift:.3e} exceeds {drift_tol:.3e}"
-                )
-            if abs(x_cross - x0) > closure_tol * max(1.0, abs(x0)):
+                raise ToleranceFailure(f"energy drift {drift:.3e} exceeds {drift_tol:.3e}")
+            if abs(x_cross - x0) > CLOSURE_TOL * max(1.0, abs(x0)):
                 raise ToleranceFailure(
                     f"orbit closes {abs(x_cross - x0):.3e} away from its "
-                    f"start (tolerance {closure_tol:.3e})"
+                    f"start (tolerance {CLOSURE_TOL:.3e})"
                 )
             return ClassicalOrbitResult(
-                energy=e0,
-                initial_point=(x0, 0.0),
-                period=period,
-                energy_drift=drift,
+                energy=e0, initial_point=(x0, 0.0), period=pt + s * dt, energy_drift=drift
             )
     raise NonClosingOrbit(f"no return within t={max_time:g} (h={h:g})")
 
 
-def turning_points(potential: Potential, energy: float, side: int) -> tuple[float, float]:
+def _like(energy, values):
+    """values as a float for a scalar energy, as the array for an array of energies."""
+    return values if np.ndim(energy) else float(values[0])
+
+
+def turning_points(potential: Potential, energy, side: int):
     """Bracket the x-interval of one half of the level set V <= energy.
 
     side=+1 gives the right lobe, side=-1 the left.  For energy >= 0 the
     inner edge is the origin (the level curve passes over the barrier).
+    energy may be a 1-d array: each energy keeps its own scan grid and
+    all turning points are bisected in one lockstep call, so every entry
+    equals the scalar call's.  Returns (lo, hi), as floats or as arrays.
     """
-    L = potential.domain_halfwidth
-    f = lambda x: float(potential.evaluate(x)) - energy
+    e = np.atleast_1d(np.asarray(energy, dtype=float))
+    below = e < 0.0
     # inner turning point sits near sqrt(2|E|)/w; start the scan below it
-    start = 1e-12 if energy >= 0.0 else min(1e-12, 5e-3 * math.sqrt(abs(energy)))
-    xs = side * np.geomspace(start, L, 2048)
+    start = np.where(below, np.minimum(1e-12, 5e-3 * np.sqrt(np.abs(e))), 1e-12)
+    xs = side * np.geomspace(start, potential.domain_halfwidth, 2048, axis=-1)
+    fs = np.asarray(potential.evaluate(xs), dtype=float) - e[:, None]
     # a sample with V = E exactly counts as inside, so + 0 - still flips once
-    inside = np.asarray(potential.evaluate(xs), dtype=float) - energy <= 0.0
-    flips = np.nonzero(inside[:-1] != inside[1:])[0]
-    if energy >= 0.0:
-        if len(flips) < 1 or f(0.0) > 0.0:
-            raise TopologyError(
-                f"no outer turning point on side {side} at E={energy:g}"
-            )
-        outer = brentq(f, xs[flips[-1]], xs[flips[-1] + 1], xtol=1e-15)
-        return (0.0, float(outer)) if side > 0 else (float(outer), 0.0)
-    if len(flips) < 2:
-        raise TopologyError(
-            f"expected two turning points on side {side} at E={energy:g}"
-        )
-    a = brentq(f, xs[flips[0]], xs[flips[0] + 1], xtol=1e-15)
-    b = brentq(f, xs[flips[-1]], xs[flips[-1] + 1], xtol=1e-15)
-    lo, hi = sorted((float(a), float(b)))
-    return lo, hi
+    inside = fs <= 0.0
+    flips = inside[:, :-1] != inside[:, 1:]
+    n_flips = flips.sum(axis=1)
+    over_top = float(potential.evaluate(0.0)) > e
+    bad = np.where(below, n_flips < 2, (n_flips < 1) | over_top)
+    if np.any(bad):
+        e_bad = float(e[np.argmax(bad)])
+        if e_bad >= 0.0:
+            raise TopologyError(f"no outer turning point on side {side} at E={e_bad:g}")
+        raise TopologyError(f"expected two turning points on side {side} at E={e_bad:g}")
+    # outer turning points in the last flip of every scan, inner ones in the
+    # first flip of the scans below the barrier
+    first = np.argmax(flips, axis=1)
+    last = flips.shape[1] - 1 - np.argmax(flips[:, ::-1], axis=1)
+    rows = np.concatenate([np.arange(len(e)), np.nonzero(below)[0]])
+    cols = np.concatenate([last, first[below]])
+    roots = bisect_lockstep(
+        potential.evaluate, xs[rows, cols], xs[rows, cols + 1],
+        fs[rows, cols], fs[rows, cols + 1], e[rows],
+    )
+    outer, inner = roots[: len(e)], np.zeros_like(e)
+    inner[below] = roots[len(e):]
+    lo, hi = (inner, outer) if side > 0 else (outer, inner)
+    return _like(energy, lo), _like(energy, hi)
 
 
 @functools.lru_cache(maxsize=16)
-def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[Array, Array]:
-    """Gauss-Jacobi nodes and weights, computed once per rule and read-only."""
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[Array, Array, Array]:
+    """Gauss-Jacobi nodes and weights for (1-u)^alpha (1+u)^beta, with the
+    square of that weight at the nodes; computed once per rule and read-only."""
     u, wgt = roots_jacobi(n, alpha, beta)
-    u.flags.writeable = False
-    wgt.flags.writeable = False
-    return u, wgt
+    weight_sq = (1.0 - u) ** (2.0 * alpha) * (1.0 + u) ** (2.0 * beta)
+    for arr in (u, wgt, weight_sq):
+        arr.flags.writeable = False
+    return u, wgt, weight_sq
 
 
-def _sqrt_weighted_integral(
-    integrand_sq: Callable[[Array], Array],
-    a: float,
-    b: float,
-    left_power: float,
-    right_power: float,
-    n: int,
-) -> float:
-    """integral of sqrt(integrand_sq) over [a, b].
-
-    integrand_sq vanishes like (x-a)^(2*left_power) at a and
-    (b-x)^(2*right_power) at b; the zeros are absorbed into a
-    Gauss-Jacobi rule so the quadrature sees a smooth factor.
-    """
-    u, wgt = _jacobi_rule(n, right_power, left_power)
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + rad * u
-    weight = (1.0 - u) ** (2.0 * right_power) * (1.0 + u) ** (2.0 * left_power)
-    smooth = integrand_sq(x) / (rad ** (2.0 * (left_power + right_power)) * weight)
-    return rad ** (1.0 + left_power + right_power) * float(
-        np.sum(wgt * np.sqrt(np.maximum(smooth, 0.0)))
-    )
+# exponent of the zero of 2(E - V) at the inner end of a lobe below, at and
+# above the barrier energy: a turning point, the barrier top, the origin
+_INNER_POWER = (0.5, 1.0, 0.0)
 
 
-def lobe_action(potential: Potential, energy: float, side: int, n: int = 400) -> float:
+def lobe_action(potential: Potential, energy, side: int, n: int = 400):
     """Action of one lobe: 2 * integral of sqrt(2(E - V)) over the lobe.
 
     For energy >= 0 this is the half of the closed orbit with
-    side * x >= 0 (the level curve crosses the barrier top).
+    side * x >= 0 (the level curve crosses the barrier top).  The zeros
+    of 2(E - V) at the lobe ends are absorbed into a Gauss-Jacobi rule,
+    so the quadrature sees a smooth factor.  energy may be a 1-d array:
+    all energies are integrated in one (energies x n) pass.
     """
-    a, b = turning_points(potential, energy, side)
-    f2 = lambda x: 2.0 * (energy - np.asarray(potential.evaluate(x), dtype=float))
-    if energy < 0.0:
-        val = _sqrt_weighted_integral(f2, a, b, 0.5, 0.5, n)
-    elif energy == 0.0:
-        # the barrier-top end has a linear zero, not a square-root one
-        lp, rp = (1.0, 0.5) if side > 0 else (0.5, 1.0)
-        val = _sqrt_weighted_integral(f2, a, b, lp, rp, n)
-    else:
-        lp, rp = (0.0, 0.5) if side > 0 else (0.5, 0.0)
-        val = _sqrt_weighted_integral(f2, a, b, lp, rp, n)
-    return 2.0 * val
+    e = np.atleast_1d(np.asarray(energy, dtype=float))
+    a, b = turning_points(potential, e, side)
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    kind = np.sign(e).astype(int) + 1
+    u, wgt, weight_sq = np.empty((3, len(e), n))
+    rad_den, rad_scale = np.empty((2, len(e)))
+    for k in np.unique(kind).tolist():
+        rows = kind == k
+        # exponents of the zeros at the right end b and at the left end a
+        alpha, beta = (0.5, _INNER_POWER[k]) if side > 0 else (_INNER_POWER[k], 0.5)
+        u[rows], wgt[rows], weight_sq[rows] = _jacobi_rule(n, alpha, beta)
+        rad_den[rows] = rad[rows] ** (2.0 * (alpha + beta))
+        rad_scale[rows] = rad[rows] ** (1.0 + alpha + beta)
+    x = mid[:, None] + rad[:, None] * u
+    f2 = 2.0 * (e[:, None] - np.asarray(potential.evaluate(x), dtype=float))
+    smooth = f2 / (rad_den[:, None] * weight_sq)
+    val = rad_scale * np.sum(wgt * np.sqrt(np.maximum(smooth, 0.0)), axis=1)
+    return _like(energy, 2.0 * val)
 
 
 def leading_epsilon(potential: Potential, energy: float) -> float:
@@ -283,9 +283,7 @@ def leading_epsilon(potential: Potential, energy: float) -> float:
     return energy / potential.curvature_scale
 
 
-def regularized_action(
-    potential: Potential, energy: float, side: int, n: int = 400
-) -> float:
+def regularized_action(potential: Potential, energy, side: int, n: int = 400):
     """Lobe action with its log-singular part at E = 0 removed.
 
     The compensator eps0(E) (ln(|E|/w) - 1), w = sqrt(-V''(0)), leaves a
@@ -293,12 +291,11 @@ def regularized_action(
     normalized so that far from the barrier the quantization phases
     reduce to the plain action rules of a single well (below) and of the
     full orbit (above); cross-validation against the grid oracle pins
-    this constant.
+    this constant.  energy may be a 1-d array, as in lobe_action.
     """
-    raw = lobe_action(potential, energy, side, n)
-    if energy == 0.0:
-        return raw
+    e = np.atleast_1d(np.asarray(energy, dtype=float))
+    raw = lobe_action(potential, e, side, n)
     w = potential.curvature_scale
-    eps = leading_epsilon(potential, energy)
-    return raw + eps * (float(np.log(abs(energy) / w)) - 1.0)
-
+    # the compensator vanishes at E = 0; |E| -> w there keeps its log finite
+    log_e = np.log(np.where(e == 0.0, w, np.abs(e)) / w)
+    return _like(energy, raw + leading_epsilon(potential, e) * (log_e - 1.0))

@@ -100,6 +100,11 @@ class TestGauss:
         assert code == 2
         assert "NotCoprime" in capsys.readouterr().err
 
+    def test_nonpositive_q_is_parameter_error(self, tmp_path, capsys):
+        code = main(["gauss", "--p", "1", "--q", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "ParameterError" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["gauss", "--p", "3", "--q", "8", "--out", str(a)]) == 0
@@ -183,6 +188,22 @@ class TestEvolve:
         )
         assert code == 2
         assert "TimeScaleError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["--periods", "0"], None), (["--periods", "-1"], None), ([], {"periods": -1})],
+        ids=["0", "-1", "config-1"],
+    )
+    def test_nonpositive_periods_is_config_error(self, tmp_path, capsys, argv, config):
+        # a grid on [0, periods * T_hyp] with periods <= 0 has no forward time
+        argv = ["evolve", "--h", "1e-3"] + argv
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

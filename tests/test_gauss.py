@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revivalkit.errors import NotCoprime, PeriodMismatch
+from revivalkit.errors import NotCoprime, ParameterError, PeriodMismatch
 from revivalkit.gausssum import (
     coefficients,
     fourier_mode,
@@ -50,7 +50,7 @@ class TestPeriodicity:
             periodicity_set(2, 4)
         with pytest.raises(NotCoprime):
             coefficients(3, 9, 0)
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ParameterError):
             periodicity_set(1, 0)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
+from revivalkit import model as model_module
 from revivalkit.errors import DomainError
 from revivalkit.model import (
     SpectralModel,
@@ -48,10 +49,33 @@ def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
     return roots
 
 
+class TestActionTable:
+    def test_one_batched_action_call_per_lobe_side(self, quartic, skewed, monkeypatch):
+        sides = []
+        real = model_module.regularized_action
+
+        def counted(potential, energies, side, n):
+            sides.append(side)
+            assert energies.shape == (model_module.FIT_NODES,)
+            return real(potential, energies, side, n)
+
+        # looked up on the model module at call time, as the benchmark traces it
+        monkeypatch.setattr(model_module, "regularized_action", counted)
+        monkeypatch.setattr(model_module, "_TABLE_CACHE", {})
+        skewed_table = model_module.build_action_table(skewed)
+        assert sides == [+1, -1]
+        even_table = model_module.build_action_table(quartic)
+        assert sides == [+1, -1, +1] and even_table.minus is even_table.plus
+        for fits in (skewed_table.plus, skewed_table.minus):
+            assert [f.coef.tolist() for f in fits[1:]] == [
+                fits[0].deriv(k).coef.tolist() for k in (1, 2, 3)
+            ]
+
+
 class TestPhaseFunctions:
     def test_f_at_center_is_action_term_plus_quarter_turn(self, model_1e3):
         # arg Gamma(1/2) = 0 and the log term vanishes at lambda = 0
-        want = -float(model_1e3.table.plus(0.0)) / model_1e3.h + 0.5 * math.pi
+        want = -float(model_1e3.table.plus[0](0.0)) / model_1e3.h + 0.5 * math.pi
         assert abs(float(model_1e3.f_h(0.0)) - want) <= 1e-9 * abs(want)
 
     def test_g_vanishes_for_even_potential(self, model_1e3):

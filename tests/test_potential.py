@@ -1,12 +1,17 @@
 """Double-well potential, classical flow, and regularized actions."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 
+import revivalkit
 from revivalkit.errors import (
     NonClosingOrbit,
     ParameterError,
@@ -23,7 +28,10 @@ from revivalkit.potential import (
     turning_points,
     validate_saddle,
 )
-from revivalkit.util import linear_fit
+from revivalkit.model import ACTION_DELTA, FIT_NODES, QUAD_NODES
+from revivalkit.util import BISECT_RTOL, BISECT_XTOL, bisect_lockstep, linear_fit
+
+FIT_ENERGIES = ACTION_DELTA * np.cos((2 * np.arange(FIT_NODES) + 1) * np.pi / (2 * FIT_NODES))
 
 
 class TestCanonicalWell:
@@ -155,3 +163,55 @@ class TestActions:
         mid = 0.5 * (es[1:] + es[:-1])
         d2 = np.diff(d1) / np.diff(mid)
         assert np.max(np.abs(d2)) < 50.0
+
+class TestBatchedEnergies:
+    @pytest.mark.parametrize("side", [+1, -1])
+    @pytest.mark.parametrize(
+        "energies", [FIT_ENERGIES, np.array([0.0, -5e-324, -0.05, 0.05, 0.0])],
+        ids=["fit-nodes", "mixed"],
+    )
+    def test_batch_equals_scalar_calls_bitwise(self, quartic, side, energies):
+        lo, hi = turning_points(quartic, energies, side)
+        vals = regularized_action(quartic, energies, side, QUAD_NODES)
+        assert lo.shape == hi.shape == vals.shape == energies.shape
+        for i, e in enumerate(energies.tolist()):
+            assert turning_points(quartic, e, side) == (lo[i], hi[i])
+            assert regularized_action(quartic, e, side, QUAD_NODES) == vals[i]
+
+    def test_scalar_energy_returns_floats(self, quartic):
+        assert type(regularized_action(quartic, -0.05, +1)) is float
+        assert all(type(v) is float for v in turning_points(quartic, 0.05, -1))
+
+    def test_batch_topology_error_names_the_energy(self, quartic):
+        with pytest.raises(TopologyError, match="E=-0.3"):
+            turning_points(quartic, np.array([-0.05, -0.3, 0.05]), +1)
+
+
+class TestLockstepBisection:
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_scan_brackets_equal_scalar_bisect(self, quartic, side):
+        # left-lobe scans run from high x to low x, so their brackets descend
+        energies = np.array([-0.2, -0.05, -1e-6, 1e-6, 0.05])
+        xs = side * np.geomspace(1e-12, quartic.domain_halfwidth, 2048)
+        brackets = []
+        for e in energies:
+            inside = quartic(xs) - e <= 0.0
+            brackets += [(xs[i], xs[i + 1], e) for i in np.nonzero(inside[:-1] != inside[1:])[0]]
+        xa, xb, targets = np.array(brackets).T
+        assert np.all((xb < xa) == (side < 0)) and len(xa) >= 7
+        got = bisect_lockstep(quartic.evaluate, xa, xb, quartic(xa) - targets,
+                              quartic(xb) - targets, targets)
+        want = [
+            bisect(lambda t: float(quartic(np.array([t]))[0]) - e, a, b,
+                   xtol=BISECT_XTOL, rtol=BISECT_RTOL)
+            for a, b, e in zip(xa.tolist(), xb.tolist(), targets.tolist())
+        ]
+        assert got.tolist() == want
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = os.path.dirname(os.path.dirname(revivalkit.__file__))
+        code = "import sys, revivalkit; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

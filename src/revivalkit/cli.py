@@ -85,7 +85,7 @@ def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> Pack
     )
 
 
-def _model_block(window, outdir: Path) -> dict:
+def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
     """Write the model window's CSV; return its manifest block."""
     write_csv(
         outdir / "model_spectrum.csv",
@@ -98,6 +98,7 @@ def _model_block(window, outdir: Path) -> dict:
         "count_beta": len(window.betas),
         "interleaving_violations": interleaving_violations(window),
         "mean_gap_pooled": float(np.mean(np.diff(pooled))) if len(pooled) > 1 else None,
+        "max_root_residual_rad": model.root_residual(window),
     }
 
 
@@ -127,8 +128,8 @@ def cmd_spectrum(args) -> int:
     outdir = _out_dir(args, "spectrum")
     manifest: dict = {"h": args.h, "backend": args.backend}
     if args.backend in ("model", "both"):
-        window = SpectralModel(canonical_double_well(), args.h).solve_families()
-        manifest["model"] = _model_block(window, outdir)
+        model = SpectralModel(canonical_double_well(), args.h)
+        manifest["model"] = _model_block(model, model.solve_families(), outdir)
     if args.backend in ("direct", "both"):
         manifest["direct"] = _direct_block(args.h, args.fd_order, outdir)
     write_json(outdir / "manifest.json", manifest)
@@ -186,6 +187,12 @@ def cmd_packet(args) -> int:
     return 0
 
 
+def _ladder_residual(point) -> float:
+    """Root residual over a ladder point's window and ladder, in radians."""
+    model = SpectralModel(canonical_double_well(), point.packet.spec.h)
+    return model.root_residual(point.window, point.ladder)
+
+
 def cmd_evolve(args) -> int:
     outdir = _out_dir(args, "evolve")
     spec = _packet_spec(args, gamma_default=0.9, gamma_prime_default=0.2)
@@ -239,6 +246,7 @@ def cmd_evolve(args) -> int:
         "theta_frac": phase.theta_frac,
         "curvature_at_root": phase.curvature_at_root,
         "a3_bound": phase.a3_bound,
+        "max_root_residual_rad": _ladder_residual(point),
         "samples": n_samples,
         "sup_exact_minus_order1": float(np.max(np.abs(r_exact - a1))),
         "order1_peak_period": peak_period,
@@ -289,6 +297,8 @@ def cmd_revival(args) -> int:
         "n_h": phase.n_h,
         "theta_frac": phase.theta_frac,
         "curvature_at_root": phase.curvature_at_root,
+        "a3_bound": phase.a3_bound,
+        "max_root_residual_rad": _ladder_residual(point),
         "samples": n_samples,
         "fractional": fractional,
         "window_counts": [len(point.window.alphas), len(point.window.betas)],
@@ -346,7 +356,7 @@ def _sweep_point(args, h: float, outdir: Path) -> dict:
     record: dict = {
         "h": h,
         "log_scale": lnh,
-        "model": _model_block(window, outdir),
+        "model": _model_block(model, window, outdir),
         "scaled_gaps": [
             float(g * lnh / h)
             for name in ("alpha", "beta")

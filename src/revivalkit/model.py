@@ -339,22 +339,34 @@ class SpectralModel:
         n_grid = max(4097, 16 * (2 * n_side + 8))
         return self._solve_on(func, lo, hi, n_grid)
 
+    def root_residual(
+        self, window: SpectrumWindow, ladder: dict[int, float] | None = None
+    ) -> float:
+        """Largest |phase(lambda_k) - 2 pi k|, in radians, over the window's
+        two families and, if given, the alpha ladder."""
+        sets = [(self.y_h, window.alpha_lambdas), (self.z_h, window.beta_lambdas)]
+        if ladder is not None:
+            sets.append((self.y_h, ladder))
+        worst = 0.0
+        for func, roots in sets:
+            if roots:
+                ks = np.array(list(roots.keys()), dtype=float)
+                lams = np.array(list(roots.values()))
+                worst = max(worst, float(np.max(np.abs(func(lams) - TWO_PI * ks))))
+        return worst
+
     def phase_data(self, roots: dict[int, float], n0: int) -> PhaseData:
         """Inverse-function derivative records at the index-n0 root."""
         lam0 = roots[n0]
-        arr = np.array([lam0])
-        yp = float(self.y_derivative(arr, 1)[0])
-        ypp = float(self.y_derivative(arr, 2)[0])
-        yppp = float(self.y_derivative(arr, 3)[0])
+        # the root rides at the end of the window grid: one call per order
+        lam = np.append(np.linspace(-1.0, 1.0, 201), lam0)
+        y1, y2, y3 = (self.y_derivative(lam, order) for order in (1, 2, 3))
+        yp, ypp, yppp = float(y1[-1]), float(y2[-1]), float(y3[-1])
         a1 = 1.0 / yp
         a2 = -ypp / yp**3
         a3 = -yppp / yp**4 + 3.0 * ypp**2 / yp**5
-        lam_grid = np.linspace(-1.0, 1.0, 201)
-        y3 = self.y_derivative(lam_grid, 3)
-        y1 = self.y_derivative(lam_grid, 1)
-        y2 = self.y_derivative(lam_grid, 2)
         a3_bound = float(
-            np.max(np.abs(-y3 / y1**4 + 3.0 * y2**2 / y1**5))
+            np.max(np.abs(-y3[:-1] / y1[:-1]**4 + 3.0 * y2[:-1]**2 / y1[:-1]**5))
         )
         return PhaseData(
             a0=lam0,

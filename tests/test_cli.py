@@ -3,9 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from revivalkit.cli import build_parser, main
+from revivalkit.model import TWO_PI, SpectralModel, ladder_point
+from revivalkit.packet import PacketSpec
+from revivalkit.potential import canonical_double_well
 
 PACKET = {"--h", "--E", "--gamma", "--gamma-prime", "--chi"}
 OPTIONS = {
@@ -143,6 +147,20 @@ class TestSpectrum:
         assert direct["count"] > 0
         assert 0.0 <= direct["max_relative_residual"] <= 1e-12
 
+    def test_model_manifest_reports_root_residual(self, tmp_path):
+        assert main(["spectrum", "--h", "1e-3", "--out", str(tmp_path)]) == 0
+        block = json.loads((tmp_path / "manifest.json").read_text())["model"]
+        m = SpectralModel(canonical_double_well(), 1e-3)
+        window = m.solve_families()
+        want = max(
+            abs(float(phase(np.array([lam]))[0]) - TWO_PI * k)
+            for phase, roots in ((m.y_h, window.alpha_lambdas), (m.z_h, window.beta_lambdas))
+            for k, lam in roots.items()
+        )
+        assert block["max_root_residual_rad"] == want
+        # within a few ulps of the phase values at the roots
+        assert 0.0 <= want <= 1e-11
+
 
 class TestPacket:
     def test_manifest_normalization(self, tmp_path):
@@ -235,6 +253,22 @@ class TestRevival:
         assert code == 2
         err = capsys.readouterr().err
         assert "ParameterError" in err and "gamma < 1/3" in err
+
+
+@pytest.mark.parametrize("command, gammas", [("revival", (0.3, 0.8)), ("evolve", (0.9, 0.2))])
+def test_ladder_manifest_reports_root_residual_and_a3_bound(tmp_path, command, gammas):
+    assert main([command, "--h", "1e-3", "--E", "-0.45", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    spec = PacketSpec(energy=-0.45, gamma=gammas[0], gamma_prime=gammas[1], h=1e-3)
+    point = ladder_point(canonical_double_well(), spec)
+    assert manifest["a3_bound"] == point.phase.a3_bound > 0.0
+    m = SpectralModel(canonical_double_well(), 1e-3)
+    sets = [(m.y_h, point.window.alpha_lambdas), (m.z_h, point.window.beta_lambdas),
+            (m.y_h, point.ladder)]
+    want = max(abs(float(phase(np.array([lam]))[0]) - TWO_PI * k)
+               for phase, roots in sets for k, lam in roots.items())
+    assert manifest["max_root_residual_rad"] == want
+    assert 0.0 <= want <= 1e-11
 
 
 class TestSweep:

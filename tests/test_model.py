@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import bisect
 
 from revivalkit import model as model_module
+from revivalkit.dynamics import PhaseData
 from revivalkit.errors import DomainError
 from revivalkit.model import (
     SpectralModel,
@@ -237,15 +238,40 @@ class TestLadderAndPhaseData:
             assert k in roots
             assert abs(roots[k] - lam) <= 1e-12
 
-    @pytest.mark.parametrize("h", [1e-3, 1e-4])
-    def test_lockstep_roots_equal_scalar_bisect(self, quartic, h, monkeypatch):
-        m = SpectralModel(quartic, h)
+    @pytest.mark.parametrize(
+        "well, h",
+        [
+            pytest.param("quartic", 1e-3, id="0.001"),
+            pytest.param("quartic", 1e-4, id="0.0001"),
+            # phase ulp 1.2e-4 rad: the roots sit on exact-zero plateaus
+            pytest.param("quartic", 1.27e-12, id="1.27e-12"),
+            pytest.param("skewed", 1e-4, id="skewed-0.0001"),
+        ],
+    )
+    def test_lockstep_roots_equal_scalar_bisect(self, request, well, h, monkeypatch):
+        m = SpectralModel(request.getfixturevalue(well), h)
         got = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
         monkeypatch.setattr(SpectralModel, "_solve_on", _scalar_solve_on)
         want = (m.solve_families(), m.solve_ladder(lam_center=-0.4, n_side=15))
         assert got[0].alpha_lambdas == want[0].alpha_lambdas
         assert got[0].beta_lambdas == want[0].beta_lambdas
         assert got[1] == want[1] and len(got[1]) >= 20
+
+    def test_ladder_phase_evaluation_count(self, quartic, monkeypatch):
+        # one call on the 4097-point grid, then one per BISECT_LEVELS steps of
+        # the 27 brackets; one step per call made 41 calls in all
+        m = SpectralModel(quartic, 1e-4)
+        sizes = []
+        real = SpectralModel.y_h
+
+        def counted(self, lam):
+            sizes.append(np.size(lam))
+            return real(self, lam)
+
+        monkeypatch.setattr(SpectralModel, "y_h", counted)
+        roots = m.solve_ladder(lam_center=-0.4, n_side=15)
+        assert len(roots) == 27
+        assert len(sizes) == 9 and sizes[0] == 4097
 
     @pytest.mark.parametrize("slope", [3.0 * TWO_PI, -3.0 * TWO_PI])
     def test_targets_on_samples_pick_scalar_brackets(self, model_1e4, slope):
@@ -267,6 +293,27 @@ class TestLadderAndPhaseData:
         lam_p, lam_m = roots[n0 + 1], roots[n0 - 1]
         fd = (lam_p - lam_m) / (2 * TWO_PI)
         assert abs(fd - ph.a1) <= 0.05 * abs(ph.a1)
+
+    @pytest.mark.parametrize(
+        "well, h", [("quartic", 1e-4), ("quartic", 1.27e-12), ("skewed", 1e-3)]
+    )
+    def test_phase_data_equals_per_point_derivative_calls(self, request, well, h):
+        m = SpectralModel(request.getfixturevalue(well), h)
+        roots = m.solve_ladder(lam_center=-0.4, n_side=4)
+        n0 = select_alpha_near(roots, -0.4)
+        at_root = np.array([roots[n0]])
+        yp, ypp, yppp = (float(m.y_derivative(at_root, k)[0]) for k in (1, 2, 3))
+        grid = np.linspace(-1.0, 1.0, 201)
+        y1, y2, y3 = (m.y_derivative(grid, k) for k in (1, 2, 3))
+        want = PhaseData(
+            a0=roots[n0],
+            a1=1.0 / yp,
+            a2=-ypp / yp**3,
+            a3=-yppp / yp**4 + 3.0 * ypp**2 / yp**5,
+            a3_bound=float(np.max(np.abs(-y3 / y1**4 + 3.0 * y2**2 / y1**5))),
+            curvature_at_root=ypp,
+        )
+        assert m.phase_data(roots, n0) == want
 
     def test_scaled_inverse_derivatives_bounded(self, quartic):
         # |A''| |ln h|^3 and |A'''| |ln h|^4 stay in a fixed band

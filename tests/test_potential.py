@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 import revivalkit
+from revivalkit import util
 from revivalkit.errors import (
     NonClosingOrbit,
+    NumericalError,
     ParameterError,
     ToleranceFailure,
     TopologyError,
@@ -29,7 +31,20 @@ from revivalkit.potential import (
     validate_saddle,
 )
 from revivalkit.model import ACTION_DELTA, FIT_NODES, QUAD_NODES
-from revivalkit.util import BISECT_RTOL, BISECT_XTOL, bisect_lockstep, linear_fit
+from revivalkit.util import BISECT_LEVELS, BISECT_RTOL, BISECT_XTOL, bisect_lockstep, linear_fit
+
+
+def _lockstep(func, xa, xb, targets):
+    """bisect_lockstep on brackets given as lists, with the end values it expects."""
+    xa, xb, targets = (np.asarray(v, dtype=float) for v in (xa, xb, targets))
+    return bisect_lockstep(func, xa, xb, func(xa) - targets, func(xb) - targets, targets)
+
+
+def _scipy_bisect(func, a, b, target, **kwargs):
+    """scipy.optimize.bisect on one bracket of the elementwise func."""
+    return bisect(lambda t: float(func(np.array([t]))[0]) - target, a, b,
+                  xtol=BISECT_XTOL, rtol=BISECT_RTOL, **kwargs)
+
 
 FIT_ENERGIES = ACTION_DELTA * np.cos((2 * np.arange(FIT_NODES) + 1) * np.pi / (2 * FIT_NODES))
 
@@ -207,6 +222,83 @@ class TestLockstepBisection:
             for a, b, e in zip(xa.tolist(), xb.tolist(), targets.tolist())
         ]
         assert got.tolist() == want
+
+    def test_brackets_close_at_every_level_of_one_call(self):
+        # halving widths need consecutive step counts, so the brackets of one
+        # call close at every level of its walk
+        func = lambda x: np.asarray(x, dtype=float)
+        xa = np.full(12, 0.1)
+        xb = xa + 2.0 ** -np.arange(12)
+        targets = xa + (xb - xa) / 3.0
+        want = [_scipy_bisect(func, a, b, t, full_output=True)
+                for a, b, t in zip(xa.tolist(), xb.tolist(), targets.tolist())]
+        assert {r.iterations % BISECT_LEVELS for _, r in want} == set(range(BISECT_LEVELS))
+        calls = []
+        counted = lambda x: (calls.append(len(x)), func(x))[1]
+        assert _lockstep(counted, xa, xb, targets).tolist() == [root for root, _ in want]
+        # two end-value calls, then one call per BISECT_LEVELS steps
+        steps = max(r.iterations for _, r in want)
+        assert len(calls) - 2 <= math.ceil(steps / BISECT_LEVELS) < steps
+
+    def test_exact_zero_on_the_walked_path(self):
+        # the midpoints of [0, 1] run 0.5, 0.25, 0.375, 0.3125: the fourth
+        # step lands on the first root, while the second bracket runs on
+        func = lambda x: np.asarray(x, dtype=float)
+        targets = [0.3125, 0.3]
+        got = _lockstep(func, [0.0, 0.0], [1.0, 1.0], targets)
+        assert got.tolist() == [_scipy_bisect(func, 0.0, 1.0, t) for t in targets]
+        assert got[0] == 0.3125
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_value_off_the_walked_path_is_ignored(self, value):
+        # 0.75 is a second-level midpoint of [0, 1]; the walk to 0.3 turns
+        # left at 0.5 and never reaches it
+        seen = []
+
+        def func(x):
+            x = np.asarray(x, dtype=float)
+            seen.extend(x.tolist())
+            return np.where(x == 0.75, value, x - 0.3)
+
+        got = _lockstep(func, [0.0], [1.0], [0.0])
+        assert 0.75 in seen
+        assert got.tolist() == [_scipy_bisect(func, 0.0, 1.0, 0.0)]
+
+    def test_nan_on_the_walked_path_raises(self):
+        func = lambda x: np.where(np.asarray(x) == 0.25, np.nan, np.asarray(x) - 0.3)
+        with pytest.raises(ValueError):
+            _scipy_bisect(func, 0.0, 1.0, 0.0)
+        with pytest.raises(NumericalError, match="NaN"):
+            _lockstep(func, [0.0], [1.0], [0.0])
+
+    def test_descending_brackets(self):
+        func = lambda x: np.asarray(x, dtype=float) ** 3
+        targets = [0.3**3, 1.0 / 27.0, 0.71, 0.125]
+        got = _lockstep(func, [1.0] * 4, [0.0] * 4, targets)
+        assert got.tolist() == [_scipy_bisect(func, 1.0, 0.0, t) for t in targets]
+
+    def test_iteration_cap_raises(self):
+        # 100 halvings of a 2e20-wide bracket leave it far wider than the tolerance
+        func = lambda x: np.asarray(x, dtype=float)
+        with pytest.raises(RuntimeError):
+            _scipy_bisect(func, -1e20, 1e20, 0.3)
+        with pytest.raises(NumericalError, match="1 roots still open after 100"):
+            _lockstep(func, [-1e20, 0.0], [1e20, 1.0], [0.3, 0.3])
+
+    def test_cap_takes_fewer_levels_in_the_last_call(self, monkeypatch):
+        # this bracket needs 7 steps: a cap of 7 ends on a 2-level call and
+        # finds scipy's root, a cap of 6 ends on a 1-level call and fails
+        func = lambda x: np.asarray(x, dtype=float)
+        a, b, t = 0.1, 0.1 + 1e-13, 0.1 + 3e-14
+        want, info = _scipy_bisect(func, a, b, t, maxiter=7, full_output=True)
+        assert info.iterations == 7
+        monkeypatch.setattr(util, "BISECT_MAXITER", 7)
+        assert _lockstep(func, [a], [b], [t]).tolist() == [want]
+        monkeypatch.setattr(util, "BISECT_MAXITER", 6)
+        with pytest.raises(RuntimeError):
+            _scipy_bisect(func, a, b, t, maxiter=6)
+        with pytest.raises(NumericalError, match="after 6 bisections"):
+            _lockstep(func, [a], [b], [t])
 
     def test_import_leaves_scipy_optimize_out(self):
         src = os.path.dirname(os.path.dirname(revivalkit.__file__))

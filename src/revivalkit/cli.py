@@ -117,6 +117,8 @@ def _direct_block(h: float, fd_order: int, outdir: Path) -> dict:
         "count": len(vals),
         "grid_points": len(op.grid),
         "dx": op.dx,
+        "halfwidth": op.halfwidth,
+        "wall_decay": op.wall_decay,
         "max_relative_residual": float(
             np.max(residuals, initial=0.0) / np.max(np.abs(op.matrix.diagonal()))
         ),

@@ -1,9 +1,17 @@
-"""Grid-discretized operator oracle: -(h^2/2) d^2/dx^2 + V on [-L, L].
+"""Grid-discretized operator oracle: -(h^2/2) d^2/dx^2 + V on [-R, R].
 
 Dirichlet walls, second- or fourth-order stencils, and a banded window
 solve: LAPACK tridiagonal bisection at order 2, an inertia-counted
 shift-invert Lanczos solve at order 4.  Serves as the independent
 cross-check of the spectral model.
+
+The grid is laid on [-L, L] and then cut at the smallest radius R at which,
+on each side, the Agmon distance from the allowed region {V <= h} reaches
+AGMON_DECAY h and V exceeds h + WALL_MARGIN (Agmon, Lectures on exponential
+decay of solutions of second-order elliptic equations, 1982).  Window
+eigenvectors decay like exp(-distance / h), so beyond R they are below
+e^-40 ~ 4e-18 of their peak and the dropped nodes change no window
+eigenpair beyond rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .errors import ResolutionError, SolverFailure, TruncationError
 from .potential import Potential
 
 WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
+AGMON_DECAY = 40.0  # Agmon distance / h from the allowed region to a cut wall
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,8 @@ class DiscretizedOperator:
     dx: float
     order: int
     matrix: sp.spmatrix
+    halfwidth: float  # the kept Dirichlet wall
+    wall_decay: float  # Agmon distance at the wall over h, the smaller side
 
 
 def resolution_bound(potential: Potential, h: float) -> float:
@@ -46,7 +57,18 @@ def discretize(
     dx: float | None = None,
     order: int = 2,
 ) -> DiscretizedOperator:
-    """Assemble the symmetric finite-difference operator."""
+    """Assemble the symmetric finite-difference operator, cut at an Agmon radius.
+
+    The grid on [-L, L] is built at spacing dx with x = 0 as its centre
+    node.  Each side then takes as its wall the first node at which both
+      - the Agmon distance, the integral of sqrt(2 max(V - h, 0)) outward
+        from the side's outermost node with V <= h, reaches AGMON_DECAY h;
+      - V exceeds h + WALL_MARGIN.
+    The nodes strictly inside the farther of the two walls are kept, the
+    same number on each side, so the matrix is the central principal block
+    of the full-domain one and x = 0 stays its centre.  If a side's domain
+    ends first, nothing is cut and the walls stay at -L and L.
+    """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     L = potential.domain_halfwidth if L is None else float(L)
@@ -65,9 +87,18 @@ def discretize(
         n_cells += 1  # keep x = 0 on the grid so reflection is exact
     x = np.linspace(-L, L, n_cells + 1)[1:-1]
     dx = float(x[1] - x[0])
+    v = np.asarray(potential.evaluate(x), dtype=float)
+    c = n_cells // 2 - 1  # x[c] = 0
+    # each side outward from x = 0: |x| and V at its nodes, then at its wall L
+    sides = [(np.append(side * x[c::side], L), np.append(v[c::side], potential.evaluate(side * L)))
+             for side in (1, -1)]
+    walls, decays = zip(*(_agmon_wall(r, vr, h) for r, vr in sides))
+    cut = max(walls)
+    x, v = x[c - cut + 1:c + cut].copy(), v[c - cut + 1:c + cut]
+    halfwidth = float(sides[0][0][cut])  # |x| of the right-hand wall
+    wall_decay = min(float(d[cut]) for d in decays) / h
     n = len(x)
     k = h * h / (2.0 * dx * dx)
-    v = np.asarray(potential.evaluate(x), dtype=float)
     if order == 2:
         mat = sp.diags(
             [np.full(n - 1, -k), 2.0 * k + v, np.full(n - 1, -k)],
@@ -87,8 +118,27 @@ def discretize(
             format="csc",
         )
     return DiscretizedOperator(
-        potential=potential, h=h, grid=x, dx=dx, order=order, matrix=mat
+        potential=potential, h=h, grid=x, dx=dx, order=order, matrix=mat,
+        halfwidth=halfwidth, wall_decay=wall_decay,
     )
+
+
+def _agmon_wall(r: np.ndarray, v: np.ndarray, h: float) -> tuple[int, np.ndarray]:
+    """The wall index on one side, and the Agmon distance at every node.
+
+    r runs outward from the centre node (r[0] = 0) to the domain wall, v is V
+    there.  The distance is a trapezoid sum of sqrt(2 max(V - h, 0)) from the
+    outermost node with V <= h (the centre if there is none).  The wall is the
+    first node that meets both criteria; the domain wall if none does.
+    """
+    allowed = np.flatnonzero(v <= h)
+    start = int(allowed[-1]) if len(allowed) else 0
+    g = np.sqrt(2.0 * np.maximum(v - h, 0.0))
+    steps = 0.5 * (g[1:] + g[:-1]) * np.diff(r)
+    steps[:start] = 0.0
+    dist = np.concatenate([[0.0], np.cumsum(steps)])
+    meets = np.flatnonzero((dist >= AGMON_DECAY * h) & (v > h + WALL_MARGIN))
+    return (int(meets[0]) if len(meets) else len(r) - 1), dist
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from revivalkit.cli import build_parser, main
+from revivalkit.direct import AGMON_DECAY, resolution_bound
 from revivalkit.model import TWO_PI, SpectralModel, ladder_point
 from revivalkit.packet import PacketSpec
 from revivalkit.potential import canonical_double_well
@@ -146,6 +147,23 @@ class TestSpectrum:
         direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
         assert direct["count"] > 0
         assert 0.0 <= direct["max_relative_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-4, 0.9])
+    def test_direct_manifest_reports_domain_cut(self, tmp_path, h):
+        args = ["spectrum", "--h", str(h), "--backend", "direct", "--fd-order", "4"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
+        V = canonical_double_well()
+        n_cells = math.ceil(2.0 * V.domain_halfwidth / resolution_bound(V, h))
+        full_points = n_cells + n_cells % 2 - 1
+        if h < 0.5:
+            assert direct["wall_decay"] >= AGMON_DECAY
+            assert direct["halfwidth"] < V.domain_halfwidth
+            assert direct["grid_points"] < full_points
+        else:  # the [-3, 3] domain ends at Agmon distance ~11 h: nothing is cut
+            assert 10.0 < direct["wall_decay"] < 12.0
+            assert direct["halfwidth"] == V.domain_halfwidth
+            assert direct["grid_points"] == full_points
 
     def test_model_manifest_reports_root_residual(self, tmp_path):
         assert main(["spectrum", "--h", "1e-3", "--out", str(tmp_path)]) == 0

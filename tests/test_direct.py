@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from revivalkit.direct import (
+    AGMON_DECAY,
+    DiscretizedOperator,
     _count_below,
     discretize,
     resolution_bound,
@@ -24,6 +27,53 @@ def tilted_well():
         domain_halfwidth=3.0,
         even=False,
     )
+
+
+def bumped_well():
+    """x^4 - x^2 plus Gaussian bumps of height 2 and width 0.15 at x = +-0.5.
+
+    At h = 1e-2 each bump alone holds ~59 h of Agmon distance, inside the outer
+    turning points x ~ +-1.005.  The bumps sit on both sides because the cut is
+    symmetric: the farther wall wins, so a bump on one side only would hide an
+    integral started at the origin behind the other side's wall.
+    """
+    w = 0.15
+
+    def bumps(x, deriv):
+        # sum over the bump centres of d^n/dx^n 2 exp(-u^2), u = (x - c) / w
+        out = 0.0
+        for c in (-0.5, 0.5):
+            u = (x - c) / w
+            poly = (1.0, -2.0 * u / w, (4.0 * u**2 - 2.0) / w**2)[deriv]
+            out = out + 2.0 * poly * np.exp(-(u**2))
+        return out
+
+    return Potential(
+        evaluate=lambda x: x**4 - x**2 + bumps(x, 0),
+        first_derivative=lambda x: 4 * x**3 - 2 * x + bumps(x, 1),
+        second_derivative=lambda x: 12 * x**2 - 2.0 + bumps(x, 2),
+        descriptor="bumped",
+        domain_halfwidth=3.0,
+        even=True,
+    )
+
+
+def full_operator(potential, h, order):
+    """The uncut operator on the whole domain, assembled here as discretize's reference."""
+    L = potential.domain_halfwidth
+    n_cells = math.ceil(2.0 * L / resolution_bound(potential, h))
+    n_cells += n_cells % 2
+    x = np.linspace(-L, L, n_cells + 1)[1:-1]
+    dx = float(x[1] - x[0])
+    n, k, v = len(x), h * h / (2.0 * dx * dx), potential.evaluate(x)
+    if order == 2:
+        bands = [np.full(n - 1, -k), 2.0 * k + v, np.full(n - 1, -k)]
+    else:
+        bands = [np.full(n - 2, k / 12.0), np.full(n - 1, -16.0 * k / 12.0), 30.0 * k / 12.0 + v,
+                 np.full(n - 1, -16.0 * k / 12.0), np.full(n - 2, k / 12.0)]
+    mat = sp.diags(bands, range(-(order // 2), order // 2 + 1), format="csc")
+    return DiscretizedOperator(potential=potential, h=h, grid=x, dx=dx, order=order, matrix=mat,
+                               halfwidth=L, wall_decay=math.nan)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +122,71 @@ class TestDiscretize:
             vals[L] = window_spectrum(op).eigenvalues
         assert len(vals[3.0]) == len(vals[6.0])
         assert np.max(np.abs(vals[3.0] - vals[6.0])) <= 1e-12
+
+
+class TestDomainCut:
+    """The Agmon cut against the full [-3, 3] operator: the same window eigenpairs."""
+
+    @pytest.fixture(scope="class", params=[(w, o, h) for w in ("quartic", "tilted") for o in (2, 4)
+                                           for h in (1e-2, 1e-3)],
+                    ids=lambda p: f"{p[0]}-order{p[1]}-h{p[2]:g}")
+    def case(self, request):
+        well, order, h = request.param
+        potential = canonical_double_well() if well == "quartic" else tilted_well()
+        return discretize(potential, h, order=order), full_operator(potential, h, order)
+
+    def test_matrix_is_central_block(self, case):
+        cut, full = case
+        n, N = len(cut.grid), len(full.grid)
+        assert n < N and (N - n) % 2 == 0
+        lo = (N - n) // 2
+        assert cut.dx == full.dx
+        assert np.array_equal(cut.grid, full.grid[lo:lo + n])
+        block = full.matrix[lo:lo + n, lo:lo + n]
+        assert block.shape == cut.matrix.shape
+        assert (block != cut.matrix).nnz == 0
+
+    def test_grid_symmetric_about_origin(self, case):
+        cut, _ = case
+        n = len(cut.grid)
+        assert n % 2 == 1 and cut.grid[n // 2] == 0.0
+        assert np.max(np.abs(cut.grid + cut.grid[::-1])) <= 4 * np.spacing(cut.halfwidth)
+        assert cut.grid[-1] < cut.halfwidth < cut.grid[-1] + 1.5 * cut.dx
+        assert cut.wall_decay >= AGMON_DECAY
+
+    def test_window_unchanged(self, case):
+        cut, full = case
+        a, b = window_spectrum(cut), window_spectrum(full)
+        assert len(a.eigenvalues) == len(b.eigenvalues) > 0
+        assert a.parities == b.parities
+        scale = np.max(np.abs(cut.matrix.diagonal()))
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-12 * scale
+
+    def test_distance_counted_from_outer_turning_point(self):
+        # integrated from the origin, a bump alone would reach 40 h and put the
+        # walls at x ~ +-0.54, short of the outer turning points
+        h = 1e-2
+        V = bumped_well()
+        op = discretize(V, h, order=4)
+        assert op.wall_decay >= AGMON_DECAY
+        xs = np.linspace(-op.halfwidth, op.halfwidth, 400001)
+        allowed = xs[V.evaluate(xs) <= h]
+        assert op.grid[0] < allowed[0] and allowed[-1] < op.grid[-1]
+        assert allowed[-1] > 1.0  # the outer turning point, past the bump
+        g = np.sqrt(2.0 * np.maximum(V.evaluate(xs) - h, 0.0))
+        steps = 0.5 * (g[1:] + g[:-1]) * np.diff(xs)
+        for side in (xs[1:] <= allowed[0], xs[:-1] >= allowed[-1]):
+            # a quadrature of its own, 200x finer than the grid: slack for its error only
+            assert np.sum(steps[side]) >= 0.999 * AGMON_DECAY * h
+
+    def test_short_domain_is_not_cut(self):
+        # at h = 0.9 the quartic's [-3, 3] ends at Agmon distance ~11 h
+        op = discretize(canonical_double_well(), 0.9, order=4)
+        full = full_operator(canonical_double_well(), 0.9, 4)
+        assert op.halfwidth == 3.0
+        assert np.array_equal(op.grid, full.grid)
+        assert (op.matrix != full.matrix).nnz == 0
+        assert 10.0 < op.wall_decay < AGMON_DECAY
 
 
 class TestWindowSpectrum:

@@ -85,6 +85,17 @@ def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> Pack
     )
 
 
+def _spec_block(spec: PacketSpec) -> dict:
+    """The packet parameters that open the packet, evolve and revival manifests."""
+    return {name: getattr(spec, name) for name in ("h", "energy", "gamma", "gamma_prime")}
+
+
+def _phase_block(phase) -> dict:
+    """The periods and ladder curvature at the packet centre."""
+    names = ("t_hyp", "t_rev", "n_h", "theta_frac", "curvature_at_root")
+    return {name: getattr(phase, name) for name in names}
+
+
 def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
     """Write the model window's CSV; return its manifest block."""
     write_csv(
@@ -98,13 +109,13 @@ def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
         "count_beta": len(window.betas),
         "interleaving_violations": interleaving_violations(window),
         "mean_gap_pooled": float(np.mean(np.diff(pooled))) if len(pooled) > 1 else None,
-        "max_root_residual_rad": model.root_residual(window),
+        **model.root_checks(window),
     }
 
 
-def _direct_block(h: float, fd_order: int, outdir: Path) -> dict:
-    """Solve the grid window, write its CSV; return its manifest block."""
-    op = discretize(canonical_double_well(), h, order=fd_order)
+def _direct_block(h: float, outdir: Path) -> dict:
+    """Solve the grid window (fourth-order stencil), write its CSV; return its manifest block."""
+    op = discretize(canonical_double_well(), h, order=4)
     spectrum = window_spectrum(op)
     write_csv(
         outdir / "direct_spectrum.csv",
@@ -133,7 +144,7 @@ def cmd_spectrum(args) -> int:
         model = SpectralModel(canonical_double_well(), args.h)
         manifest["model"] = _model_block(model, model.solve_families(), outdir)
     if args.backend in ("direct", "both"):
-        manifest["direct"] = _direct_block(args.h, args.fd_order, outdir)
+        manifest["direct"] = _direct_block(args.h, outdir)
     write_json(outdir / "manifest.json", manifest)
     write_plot_script(
         outdir / "plot.gp",
@@ -160,10 +171,7 @@ def cmd_packet(args) -> int:
         packet.csv_rows(),
     )
     manifest = {
-        "h": args.h,
-        "energy": spec.energy,
-        "gamma": spec.gamma,
-        "gamma_prime": spec.gamma_prime,
+        **_spec_block(spec),
         "profile": getattr(spec.chi, "label", "custom"),
         "center_alpha": n0,
         "center_beta": m0,
@@ -187,12 +195,6 @@ def cmd_packet(args) -> int:
     )
     print(f"wrote {outdir}")
     return 0
-
-
-def _ladder_residual(point) -> float:
-    """Root residual over a ladder point's window and ladder, in radians."""
-    model = SpectralModel(canonical_double_well(), point.packet.spec.h)
-    return model.root_residual(point.window, point.ladder)
 
 
 def cmd_evolve(args) -> int:
@@ -235,20 +237,13 @@ def cmd_evolve(args) -> int:
     except NumericalFailure:
         pass
     manifest = {
-        "h": args.h,
-        "energy": spec.energy,
-        "gamma": spec.gamma,
-        "gamma_prime": spec.gamma_prime,
+        **_spec_block(spec),
         "alpha": alpha,
         "center_alpha": packet.center,
         "center_beta": point.center_beta,
-        "t_hyp": phase.t_hyp,
-        "t_rev": phase.t_rev,
-        "n_h": phase.n_h,
-        "theta_frac": phase.theta_frac,
-        "curvature_at_root": phase.curvature_at_root,
+        **_phase_block(phase),
         "a3_bound": phase.a3_bound,
-        "max_root_residual_rad": _ladder_residual(point),
+        **point.model.root_checks(point.window, point.ladder),
         "samples": n_samples,
         "sup_exact_minus_order1": float(np.max(np.abs(r_exact - a1))),
         "order1_peak_period": peak_period,
@@ -289,18 +284,11 @@ def cmd_revival(args) -> int:
             "sup_difference": cmp.sup_difference,
         }
     manifest = {
-        "h": args.h,
-        "energy": spec.energy,
-        "gamma": spec.gamma,
-        "gamma_prime": spec.gamma_prime,
+        **_spec_block(spec),
         "beta": beta,
-        "t_hyp": phase.t_hyp,
-        "t_rev": phase.t_rev,
-        "n_h": phase.n_h,
-        "theta_frac": phase.theta_frac,
-        "curvature_at_root": phase.curvature_at_root,
+        **_phase_block(phase),
         "a3_bound": phase.a3_bound,
-        "max_root_residual_rad": _ladder_residual(point),
+        **point.model.root_checks(point.window, point.ladder),
         "samples": n_samples,
         "fractional": fractional,
         "window_counts": [len(point.window.alphas), len(point.window.betas)],
@@ -367,20 +355,13 @@ def _sweep_point(args, h: float, outdir: Path) -> dict:
     }
     roots = model.solve_ladder(lam_center=args.E, n_side=4)
     n0 = select_alpha_near(roots, args.E)
-    phase = model.phase_data(roots, n0)
-    record.update(
-        t_hyp=phase.t_hyp,
-        t_rev=phase.t_rev,
-        n_h=phase.n_h,
-        theta_frac=phase.theta_frac,
-        curvature_at_root=phase.curvature_at_root,
-    )
+    record.update(_phase_block(model.phase_data(roots, n0)))
     if args.classical:
         orbit = flow_period(potential, h)
         record["tau_classical"] = orbit.period
         record["energy_drift"] = orbit.energy_drift
     if args.backend in ("direct", "both"):
-        record["direct"] = _direct_block(h, args.fd_order, outdir)
+        record["direct"] = _direct_block(h, outdir)
     return record
 
 
@@ -456,7 +437,6 @@ def _add_packet(sub: argparse.ArgumentParser) -> None:
 
 def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=("model", "direct", "both"), default="model")
-    sub.add_argument("--fd-order", dest="fd_order", type=int, choices=(2, 4), default=2)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

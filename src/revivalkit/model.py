@@ -21,6 +21,7 @@ from .errors import (
     MonotonicityError,
     NumericalError,
     RootBracketError,
+    SupportError,
 )
 from .potential import Potential, regularized_action, validate_saddle
 from .specfun import arg_gamma_half_line, digamma, tetragamma, trigamma
@@ -33,13 +34,14 @@ TWO_PI = 2.0 * math.pi
 class ActionTable:
     """Chebyshev fits of the regularized lobe actions on [-delta, delta].
 
-    plus[k] and minus[k] are the k-th derivatives (k = 0..3) of the right-
-    and left-lobe fits.
+    total[k] and diff[k] are the k-th derivatives (k = 0..3) of the fits of
+    theta_+ + theta_- and theta_+ - theta_-; diff is None for an even
+    potential, whose two lobes have one action.
     """
 
     delta: float
-    plus: tuple[Chebyshev, ...]
-    minus: tuple[Chebyshev, ...]
+    total: tuple[Chebyshev, ...]
+    diff: tuple[Chebyshev, ...] | None
 
 
 # energy half-width of the fit, Chebyshev nodes, Gauss-Jacobi nodes per action
@@ -56,33 +58,42 @@ def build_action_table(potential: Potential) -> ActionTable:
     delta = ACTION_DELTA
     j = np.arange(FIT_NODES)
     nodes = delta * np.cos((2 * j + 1) * np.pi / (2 * FIT_NODES))
-    fits = []
-    for side in (+1,) if potential.even else (+1, -1):
-        vals = regularized_action(potential, nodes, side, QUAD_NODES)
-        fit = Chebyshev.fit(nodes, vals, deg=FIT_NODES - 1, domain=[-delta, delta])
-        fits.append((fit,) + tuple(fit.deriv(k) for k in (1, 2, 3)))
-    # an even potential's lobes share one fit
-    table = ActionTable(delta=delta, plus=fits[0], minus=fits[-1])
+    plus = regularized_action(potential, nodes, +1, QUAD_NODES)
+
+    def fit(vals):
+        f = Chebyshev.fit(nodes, vals, deg=FIT_NODES - 1, domain=[-delta, delta])
+        return (f,) + tuple(f.deriv(k) for k in (1, 2, 3))
+
+    if potential.even:
+        # one fit, doubled: both lobes carry the same action
+        table = ActionTable(delta, tuple(2.0 * f for f in fit(plus)), None)
+    else:
+        minus = regularized_action(potential, nodes, -1, QUAD_NODES)
+        table = ActionTable(delta, fit(plus + minus), fit(plus - minus))
     _TABLE_CACHE[potential.descriptor] = table
     return table
 
 
 @dataclass(frozen=True)
 class SpectrumWindow:
-    """The two eigenvalue families inside [-h, h]."""
+    """The two eigenvalue families inside [-h, h], as {index k: lambda_k} maps."""
 
     h: float
-    alphas: list[tuple[int, float]]
-    betas: list[tuple[int, float]]
     alpha_lambdas: dict[int, float]
     beta_lambdas: dict[int, float]
 
     def family(self, name: str) -> list[tuple[int, float]]:
-        if name == "alpha":
-            return self.alphas
-        if name == "beta":
-            return self.betas
-        raise KeyError(name)
+        """(index, eigenvalue) pairs of one family, by increasing eigenvalue."""
+        lams = {"alpha": self.alpha_lambdas, "beta": self.beta_lambdas}[name]
+        return sorted(((k, self.h * lam) for k, lam in lams.items()), key=lambda kv: kv[1])
+
+    @property
+    def alphas(self) -> list[tuple[int, float]]:
+        return self.family("alpha")
+
+    @property
+    def betas(self) -> list[tuple[int, float]]:
+        return self.family("beta")
 
     def gaps(self, name: str) -> np.ndarray:
         vals = np.array([v for _, v in self.family(name)])
@@ -97,7 +108,7 @@ class SpectrumWindow:
         """Rows (family, index, lambda, eigenvalue, gap_to_next) per family."""
         rows = []
         for name, lam_map in (("alpha", self.alpha_lambdas), ("beta", self.beta_lambdas)):
-            pairs = sorted(self.family(name), key=lambda kv: kv[1])
+            pairs = self.family(name)
             for i, (k, v) in enumerate(pairs):
                 gap = pairs[i + 1][1] - v if i + 1 < len(pairs) else float("nan")
                 rows.append((name, k, lam_map[k], v, gap))
@@ -124,14 +135,6 @@ class SpectralModel:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _lobe_sum(self, order: int, energy):
-        """Sum of the two lobe actions' order-th derivatives at the energies."""
-        plus = self.table.plus[order](energy)
-        if self.potential.even:
-            # both lobes share one fit: a + a == 2a exactly
-            return 2.0 * plus
-        return plus + self.table.minus[order](energy)
-
     def _check_domain(self, lam):
         lam = np.asarray(lam, dtype=float)
         if np.any(np.abs(lam) * self.h > self.table.delta):
@@ -147,17 +150,16 @@ class SpectralModel:
     def f_h(self, lam):
         lam = self._check_domain(lam)
         y = self.epsilon_over_h(lam)
-        theta_sum = self._lobe_sum(0, lam * self.h) / (2.0 * self.h)
+        theta_sum = self.table.total[0](lam * self.h) / (2.0 * self.h)
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
     def g_h(self, lam):
         return self._g(self._check_domain(lam))
 
     def _g(self, lam):
-        if self.potential.even:
+        if self.table.diff is None:
             return np.zeros_like(lam)
-        table = self.table
-        return (table.plus[0](lam * self.h) - table.minus[0](lam * self.h)) / (2.0 * self.h)
+        return self.table.diff[0](lam * self.h) / (2.0 * self.h)
 
     def _tunneling_angle(self, lam):
         """arccos(cos g / sqrt(1 + e^{2 pi eps/h})), overflow-safe when g = 0."""
@@ -179,33 +181,24 @@ class SpectralModel:
     def z_h(self, lam):
         return self.f_h(lam) + self._tunneling_angle(lam)
 
+    def _phase(self, family: str):
+        return {"alpha": self.y_h, "beta": self.z_h}[family]
+
     # -- derivatives -------------------------------------------------------
 
-    def _arg_gamma_derivative(self, lam, order: int):
-        z = 0.5 + 1j * np.asarray(lam, dtype=float) / self.w
-        if order == 1:
-            return np.real(digamma(z)) / self.w
-        if order == 2:
-            return -np.imag(trigamma(z)) / self.w**2
-        if order == 3:
-            return -np.real(tetragamma(z)) / self.w**3
-        raise ValueError(order)
-
-    def _tunneling_angle_derivative(self, lam, order: int):
-        lam = np.asarray(lam, dtype=float)
+    def _tunneling_angle_derivatives(self, lam):
+        """First three lambda-derivatives of the tunneling angle."""
         c = np.pi / self.w
         if self.potential.even:
             z = c * lam
             az = np.abs(z)
             sech = 2.0 * np.exp(-az) / (1.0 + np.exp(-2.0 * az))
             tanh = np.tanh(z)
-            if order == 1:
-                return 0.5 * c * sech
-            if order == 2:
-                return -0.5 * c**2 * sech * tanh
-            if order == 3:
-                return -0.5 * c**3 * sech * (2.0 * sech**2 - 1.0)
-            raise ValueError(order)
+            return (
+                0.5 * c * sech,
+                -0.5 * c**2 * sech * tanh,
+                -0.5 * c**3 * sech * (2.0 * sech**2 - 1.0),
+            )
         # general potentials: chain rule through u = cos(g) * (1+q)^(-1/2)
         h = self.h
         q = np.exp(2.0 * c * lam)
@@ -219,21 +212,11 @@ class SpectralModel:
             - 0.5 * (1.0 + q) ** -1.5 * qd[3]
         )
         g = self._g(lam)
-        gd = [
-            (self.table.plus[k](lam * h) - self.table.minus[k](lam * h))
-            * h ** (k - 1)
-            / 2.0
-            for k in range(1, 4)
-        ]
+        gd = [self.table.diff[k](lam * h) * h ** (k - 1) / 2.0 for k in range(1, 4)]
         cg, sg = np.cos(g), np.sin(g)
         u = cg * s
         up = -sg * gd[0] * s + cg * sp
-        upp = (
-            -cg * gd[0] ** 2 * s
-            - sg * gd[1] * s
-            - 2.0 * sg * gd[0] * sp
-            + cg * spp
-        )
+        upp = -cg * gd[0] ** 2 * s - sg * gd[1] * s - 2.0 * sg * gd[0] * sp + cg * spp
         uppp = (
             sg * gd[0] ** 3 * s
             - 3.0 * cg * gd[0] * gd[1] * s
@@ -246,38 +229,34 @@ class SpectralModel:
         om = 1.0 - u * u
         if np.any(om < 1e-14):
             raise NumericalError("tunneling angle too close to its endpoint")
-        if order == 1:
-            return -up * om**-0.5
-        if order == 2:
-            return -upp * om**-0.5 - u * up**2 * om**-1.5
-        if order == 3:
-            return (
-                -uppp * om**-0.5
-                - 3.0 * u * up * upp * om**-1.5
-                - up**3 * om**-1.5
-                - 3.0 * u**2 * up**3 * om**-2.5
-            )
-        raise ValueError(order)
+        return (
+            -up * om**-0.5,
+            -upp * om**-0.5 - u * up**2 * om**-1.5,
+            -uppp * om**-0.5
+            - 3.0 * u * up * upp * om**-1.5
+            - up**3 * om**-1.5
+            - 3.0 * u**2 * up**3 * om**-2.5,
+        )
 
-    def _phase_derivative(self, lam, order: int, sign: float):
+    def _derivatives(self, lam, family: str = "alpha"):
+        """First three lambda-derivatives of one family's phase (y_h or z_h)."""
         lam = self._check_domain(lam)
-        h = self.h
-        theta_sum_d = self._lobe_sum(order, lam * h) * h ** (order - 1) / 2.0
-        out = -theta_sum_d + self._arg_gamma_derivative(lam, order)
-        if order == 1:
-            out = out + self.lnh / self.w
-        return out + sign * self._tunneling_angle_derivative(lam, order)
-
-    def y_derivative(self, lam, order: int):
-        """Analytic derivative of the alpha-family phase, order 1, 2 or 3."""
-        if order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2 or 3, got {order}")
-        return self._phase_derivative(lam, order, -1.0)
-
-    def z_derivative(self, lam, order: int):
-        if order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2 or 3, got {order}")
-        return self._phase_derivative(lam, order, +1.0)
+        h, w = self.h, self.w
+        sign = {"alpha": -1.0, "beta": 1.0}[family]
+        z = 0.5 + 1j * lam / w
+        arg_gamma = (
+            np.real(digamma(z)) / w,
+            -np.imag(trigamma(z)) / w**2,
+            -np.real(tetragamma(z)) / w**3,
+        )
+        angle = self._tunneling_angle_derivatives(lam)
+        out = []
+        for k in (1, 2, 3):
+            d = -(self.table.total[k](lam * h) * h ** (k - 1) / 2.0) + arg_gamma[k - 1]
+            if k == 1:
+                d = d + self.lnh / w
+            out.append(d + sign * angle[k - 1])
+        return tuple(out)
 
     # -- root solving ------------------------------------------------------
 
@@ -308,59 +287,68 @@ class SpectralModel:
 
     def solve_families(self) -> SpectrumWindow:
         """Enumerate both families inside the window [-h, h]."""
-        ya = self._solve_on(self.y_h, -1.0, 1.0)
-        zb = self._solve_on(self.z_h, -1.0, 1.0)
-        alphas = sorted(((k, self.h * lam) for k, lam in ya.items()),
-                        key=lambda kv: kv[1])
-        betas = sorted(((l, self.h * lam) for l, lam in zb.items()),
-                       key=lambda kv: kv[1])
         return SpectrumWindow(
             h=self.h,
-            alphas=alphas,
-            betas=betas,
-            alpha_lambdas=ya,
-            beta_lambdas=zb,
+            alpha_lambdas=self._solve_on(self.y_h, -1.0, 1.0),
+            beta_lambdas=self._solve_on(self.z_h, -1.0, 1.0),
         )
 
     def solve_ladder(self, lam_center: float, n_side: int, family: str = "alpha"):
-        """Roots of the phase function around lam_center on the extended domain.
+        """Every root within n_side indices of the one nearest lam_center.
 
-        Returns {index k: lambda_k} for roughly n_side indices on each side
-        of the one nearest lam_center; the domain is capped at
-        |lambda| <= delta/h.
+        Returns {index k: lambda_k} for those indices, as far as the table's
+        domain |lambda h| <= 0.95 delta reaches.  The gaps widen away from the
+        barrier top, so each side is sized by the smaller of the slopes at
+        lam_center and where the log term's slope ln(h)/w alone would end it,
+        and doubled until it holds n_side roots past the nearest one.
         """
-        func = self.y_h if family == "alpha" else self.z_h
-        deriv = self.y_derivative if family == "alpha" else self.z_derivative
-        slope = abs(float(deriv(np.array([lam_center]), 1)[0]))
-        gap = TWO_PI / slope
+        func, c = self._phase(family), lam_center
         lam_max = 0.95 * self.table.delta / self.h
-        lo = max(lam_center - (n_side + 3) * gap, -lam_max)
-        hi = min(lam_center + (n_side + 3) * gap, lam_max)
+        reach = (n_side + 3) * TWO_PI
+        guess = reach * self.w / abs(self.lnh)
+        probe = np.clip(c + np.array([0.0, -guess, guess]), -lam_max, lam_max)
+        slope = np.abs(self._derivatives(probe, family)[0])
+        span = reach / np.minimum(slope[0], slope[1:])
         n_grid = max(4097, 16 * (2 * n_side + 8))
-        return self._solve_on(func, lo, hi, n_grid)
+        while True:
+            lo, hi = max(c - span[0], -lam_max), min(c + span[1], lam_max)
+            roots = self._solve_on(func, lo, hi, n_grid)
+            by_lam = sorted(roots, key=roots.get)
+            i = by_lam.index(select_alpha_near(roots, c))
+            short = np.array([i < n_side and lo > -lam_max,
+                              len(by_lam) - 1 - i < n_side and hi < lam_max])
+            if not short.any():
+                k0 = by_lam[i]
+                return {k: lam for k, lam in roots.items() if abs(k - k0) <= n_side}
+            span = np.where(short, 2.0 * span, span)
 
-    def root_residual(
-        self, window: SpectrumWindow, ladder: dict[int, float] | None = None
-    ) -> float:
-        """Largest |phase(lambda_k) - 2 pi k|, in radians, over the window's
-        two families and, if given, the alpha ladder."""
-        sets = [(self.y_h, window.alpha_lambdas), (self.z_h, window.beta_lambdas)]
+    def root_checks(self, window: SpectrumWindow, ladder: dict[int, float] | None = None) -> dict:
+        """Root diagnostics over the window's two families and, if given, the alpha ladder.
+
+        max_root_residual_rad is the largest |phase(lambda_k) - 2 pi k|;
+        max_root_resolution_lambda is the largest ulp(2 pi k)/|phase'(lambda_k)|,
+        the width in lambda of one rounding step of the phase at the root.
+        """
+        sets = [("alpha", window.alpha_lambdas), ("beta", window.beta_lambdas)]
         if ladder is not None:
-            sets.append((self.y_h, ladder))
-        worst = 0.0
-        for func, roots in sets:
+            sets.append(("alpha", ladder))
+        residual = resolution = 0.0
+        for family, roots in sets:
             if roots:
-                ks = np.array(list(roots.keys()), dtype=float)
+                targets = TWO_PI * np.array(list(roots.keys()), dtype=float)
                 lams = np.array(list(roots.values()))
-                worst = max(worst, float(np.max(np.abs(func(lams) - TWO_PI * ks))))
-        return worst
+                err = np.abs(self._phase(family)(lams) - targets)
+                step = np.spacing(np.abs(targets)) / np.abs(self._derivatives(lams, family)[0])
+                residual = max(residual, float(np.max(err)))
+                resolution = max(resolution, float(np.max(step)))
+        return {"max_root_residual_rad": residual, "max_root_resolution_lambda": resolution}
 
     def phase_data(self, roots: dict[int, float], n0: int) -> PhaseData:
         """Inverse-function derivative records at the index-n0 root."""
         lam0 = roots[n0]
-        # the root rides at the end of the window grid: one call per order
+        # the root rides at the end of the window grid: one derivative pass
         lam = np.append(np.linspace(-1.0, 1.0, 201), lam0)
-        y1, y2, y3 = (self.y_derivative(lam, order) for order in (1, 2, 3))
+        y1, y2, y3 = self._derivatives(lam)
         yp, ypp, yppp = float(y1[-1]), float(y2[-1]), float(y3[-1])
         a1 = 1.0 / yp
         a2 = -ypp / yp**3
@@ -368,14 +356,7 @@ class SpectralModel:
         a3_bound = float(
             np.max(np.abs(-y3[:-1] / y1[:-1]**4 + 3.0 * y2[:-1]**2 / y1[:-1]**5))
         )
-        return PhaseData(
-            a0=lam0,
-            a1=a1,
-            a2=a2,
-            a3=a3,
-            a3_bound=a3_bound,
-            curvature_at_root=ypp,
-        )
+        return PhaseData(a0=lam0, a1=a1, a2=a2, a3=a3, a3_bound=a3_bound, curvature_at_root=ypp)
 
 
 def select_alpha_near(roots: dict[int, float], lam_target: float) -> int:
@@ -387,6 +368,7 @@ def select_alpha_near(roots: dict[int, float], lam_target: float) -> int:
 class LadderPoint:
     """Window, packet centred on the extended alpha ladder, phase data at its centre."""
 
+    model: SpectralModel
     window: SpectrumWindow
     center_beta: int
     ladder: dict[int, float]
@@ -398,15 +380,21 @@ def ladder_point(potential: Potential, spec: packet.PacketSpec) -> LadderPoint:
     """The point pipeline: window -> centres -> ladder -> packet -> phase data.
 
     The ladder reaches three roots past the packet's truncation radius on
-    each side, so the packet support is never clipped by the ladder.
+    each side.  Where the action table's domain ends inside that radius
+    (large h), the packet would be clipped, and SupportError is raised.
     """
     model = SpectralModel(potential, spec.h)
     window = model.solve_families()
     n0, m0 = packet.select_centers(window, spec.energy)
     radius = math.ceil(packet.RADIUS_FACTOR * spec.width)
     ladder = model.solve_ladder(window.alpha_lambdas[n0], n_side=radius + 3)
+    if not all(n in ladder for n in range(n0 - radius, n0 + radius + 1)):
+        raise SupportError(
+            f"at h={spec.h:g} the ladder, cut at the action table's domain, "
+            f"does not reach the packet's indices {n0} +- {radius}"
+        )
     coeffs = packet.build_coefficients(spec, n0, index_set=ladder.keys())
-    return LadderPoint(window, m0, ladder, coeffs, model.phase_data(ladder, n0))
+    return LadderPoint(model, window, m0, ladder, coeffs, model.phase_data(ladder, n0))
 
 
 def interleaving_violations(window: SpectrumWindow) -> int:

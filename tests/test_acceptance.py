@@ -378,8 +378,7 @@ def test_criterion_9_revival_periodicity(quartic):
             for h in hs:
                 model = SpectralModel(quartic, h)
                 lam = np.array([-0.45])
-                yp = float(model.y_derivative(lam, 1)[0])
-                ypp = float(model.y_derivative(lam, 2)[0])
+                yp, ypp = (float(d[0]) for d in model._derivatives(lam)[:2])
                 pinned_curv.append(ypp)
                 pinned_cube.append(abs(yp**3 / (math.pi * ypp)) ** (1.0 / 3.0))
             curv_drift = (max(pinned_curv) - min(pinned_curv)) / abs(

@@ -14,12 +14,12 @@ from revivalkit.potential import canonical_double_well
 
 PACKET = {"--h", "--E", "--gamma", "--gamma-prime", "--chi"}
 OPTIONS = {
-    "spectrum": {"--h", "--backend", "--fd-order"},
+    "spectrum": {"--h", "--backend"},
     "packet": PACKET,
     "evolve": PACKET | {"--alpha", "--periods"},
     "revival": PACKET | {"--beta", "--p", "--q"},
     "gauss": {"--p", "--q", "--n0"},
-    "sweep": {"--h", "--E", "--backend", "--fd-order", "--jobs", "--classical"},
+    "sweep": {"--h", "--E", "--backend", "--jobs", "--classical"},
 }
 
 
@@ -33,7 +33,7 @@ class TestOptions:
             for name, sub in subs.items()
         }
         assert got == {name: opts | {"--out", "--config"} for name, opts in OPTIONS.items()}
-        assert sum(len(opts) for opts in got.values()) == 44
+        assert sum(len(opts) for opts in got.values()) == 42
 
     @pytest.mark.parametrize(
         "argv",
@@ -42,6 +42,9 @@ class TestOptions:
             ["spectrum", "--potential", "quartic"],
             ["packet", "--backend", "direct"],
             ["evolve", "--fd-order", "4"],
+            # the CLI's grid always runs the fourth-order stencil
+            ["spectrum", "--fd-order", "4"],
+            ["sweep", "--fd-order", "2"],
             ["evolve", "--p", "1"],  # no prefix match onto --periods
             ["revival", "--parity", "odd"],
             ["gauss", "--h", "1e-3"],
@@ -121,8 +124,7 @@ class TestGauss:
 class TestSpectrum:
     def test_both_backends(self, tmp_path):
         code = main(
-            ["spectrum", "--h", "0.01", "--backend", "both", "--fd-order", "4",
-             "--out", str(tmp_path)]
+            ["spectrum", "--h", "0.01", "--backend", "both", "--out", str(tmp_path)]
         )
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -134,15 +136,15 @@ class TestSpectrum:
         assert (tmp_path / "plot.gp").exists()
 
     def test_direct_csv_deterministic(self, tmp_path):
-        args = ["spectrum", "--h", "0.01", "--backend", "both", "--fd-order", "4", "--out"]
+        args = ["spectrum", "--h", "0.01", "--backend", "both", "--out"]
         assert main(args + [str(tmp_path / "a")]) == 0
         assert main(args + [str(tmp_path / "b")]) == 0
         csv = "direct_spectrum.csv"
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
-    @pytest.mark.parametrize("order", ["2", "4"])
-    def test_direct_manifest_reports_residual(self, tmp_path, order):
-        args = ["spectrum", "--h", "0.01", "--backend", "direct", "--fd-order", order]
+    def test_direct_manifest_reports_residual(self, tmp_path):
+        # order 2 is checked in test_direct.py; the CLI runs order 4 only
+        args = ["spectrum", "--h", "0.01", "--backend", "direct"]
         assert main(args + ["--out", str(tmp_path)]) == 0
         direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
         assert direct["count"] > 0
@@ -150,7 +152,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("h", [1e-2, 1e-4, 0.9])
     def test_direct_manifest_reports_domain_cut(self, tmp_path, h):
-        args = ["spectrum", "--h", str(h), "--backend", "direct", "--fd-order", "4"]
+        args = ["spectrum", "--h", str(h), "--backend", "direct"]
         assert main(args + ["--out", str(tmp_path)]) == 0
         direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
         V = canonical_double_well()
@@ -170,14 +172,16 @@ class TestSpectrum:
         block = json.loads((tmp_path / "manifest.json").read_text())["model"]
         m = SpectralModel(canonical_double_well(), 1e-3)
         window = m.solve_families()
+        sets = [("alpha", window.alpha_lambdas), ("beta", window.beta_lambdas)]
         want = max(
-            abs(float(phase(np.array([lam]))[0]) - TWO_PI * k)
-            for phase, roots in ((m.y_h, window.alpha_lambdas), (m.z_h, window.beta_lambdas))
+            abs(float(m._phase(family)(np.array([lam]))[0]) - TWO_PI * k)
+            for family, roots in sets
             for k, lam in roots.items()
         )
         assert block["max_root_residual_rad"] == want
         # within a few ulps of the phase values at the roots
         assert 0.0 <= want <= 1e-11
+        assert block["max_root_resolution_lambda"] == _resolution(m, sets)
 
 
 class TestPacket:
@@ -241,6 +245,12 @@ class TestEvolve:
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_clipped_packet_is_support_error(self, tmp_path, capsys):
+        # at h = 1e-2 the action table's domain ends inside the default packet
+        assert main(["evolve", "--h", "1e-2", "--out", str(tmp_path / "out")]) == 3
+        assert "SupportError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -281,12 +291,35 @@ def test_ladder_manifest_reports_root_residual_and_a3_bound(tmp_path, command, g
     point = ladder_point(canonical_double_well(), spec)
     assert manifest["a3_bound"] == point.phase.a3_bound > 0.0
     m = SpectralModel(canonical_double_well(), 1e-3)
-    sets = [(m.y_h, point.window.alpha_lambdas), (m.z_h, point.window.beta_lambdas),
-            (m.y_h, point.ladder)]
-    want = max(abs(float(phase(np.array([lam]))[0]) - TWO_PI * k)
-               for phase, roots in sets for k, lam in roots.items())
+    sets = [("alpha", point.window.alpha_lambdas), ("beta", point.window.beta_lambdas),
+            ("alpha", point.ladder)]
+    want = max(abs(float(m._phase(family)(np.array([lam]))[0]) - TWO_PI * k)
+               for family, roots in sets for k, lam in roots.items())
     assert manifest["max_root_residual_rad"] == want
     assert 0.0 <= want <= 1e-11
+    assert manifest["max_root_resolution_lambda"] == _resolution(m, sets)
+
+
+def _resolution(m, sets):
+    """Largest ulp(2 pi k) / |phase'(lambda_k)|, root by root."""
+    return max(
+        float(np.spacing(abs(TWO_PI * k)) / abs(m._derivatives(np.array([lam]), family)[0][0]))
+        for family, roots in sets
+        for k, lam in roots.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "h, band", [(1e-3, (1e-14, 1e-13)), (1e-4, (1e-13, 1e-12)), (1e-8, (1e-10, 1e-8)),
+                (1.27e-12, (1e-6, 1e-5))]
+)
+def test_root_resolution_shows_the_phase_precision(h, band):
+    # one rounding step of the phase, in lambda: it grows like ulp(1/h) h
+    # where the residual can read exactly 0 on a plateau
+    spec = PacketSpec(energy=-0.5, gamma=0.3, gamma_prime=0.8, h=h)
+    point = ladder_point(canonical_double_well(), spec)
+    checks = point.model.root_checks(point.window, point.ladder)
+    assert band[0] < checks["max_root_resolution_lambda"] < band[1]
 
 
 class TestSweep:
@@ -306,7 +339,7 @@ class TestSweep:
 
     def test_window_outputs_match_spectrum(self, tmp_path):
         # sweep and spectrum share one window summary per backend
-        grid = ["--backend", "both", "--fd-order", "4"]
+        grid = ["--backend", "both"]
         assert main(["sweep", "--h", "1e-2,1e-3", *grid, "--out", str(tmp_path / "sw")]) == 0
         points = json.loads((tmp_path / "sw" / "manifest.json").read_text())["points"]
         for h, point in zip(("1e-2", "1e-3"), points):

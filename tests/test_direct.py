@@ -227,6 +227,16 @@ class TestWindowSpectrum:
         # order-2 at the bound spacing carries a visible O(dx^2) shift
         assert np.max(np.abs(a - b)) <= 2e-2 * h
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_relative_residual_of_window_pairs(self, order):
+        # the spectrum manifest's max_relative_residual; the CLI runs order 4 only
+        op = discretize(canonical_double_well(), 1e-2, order=order)
+        spectrum = window_spectrum(op)
+        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+        residuals = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
+        assert len(vals) > 0
+        assert np.max(residuals) / np.max(np.abs(op.matrix.diagonal())) <= 1e-12
+
     def test_repeated_solves_agree_bitwise(self, op_1e2, spectrum_1e2):
         # a fixed Lanczos start vector makes the grid spectrum reproducible
         again = window_spectrum(op_1e2)

@@ -384,8 +384,7 @@ class TestBetaFamilyMirror:
             n0 = select_alpha_near(roots, -1.0)
             spec = PacketSpec(energy=-1.0, gamma=0.3, gamma_prime=0.8, h=h)
             pk = build_coefficients(spec, n0, index_set=roots.keys())
-            deriv = model.y_derivative if family == "alpha" else model.z_derivative
-            t_loc = abs(float(deriv(np.array([roots[n0]]), 1)[0]))
+            t_loc = abs(float(model._derivatives(np.array([roots[n0]]), family)[0][0]))
             t = np.linspace(0.0, 3.2 * t_loc, 4001)
             c = np.abs(exact_series(roots, pk, t))
             peaks = detect_peaks(t, c, threshold=0.6)

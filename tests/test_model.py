@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import bisect
 
 from revivalkit import model as model_module
 from revivalkit.dynamics import PhaseData
-from revivalkit.errors import DomainError
+from revivalkit.errors import DomainError, SupportError
 from revivalkit.model import (
     SpectralModel,
     interleaving_violations,
+    ladder_point,
     select_alpha_near,
 )
-from revivalkit.packet import select_centers
+from revivalkit.packet import RADIUS_FACTOR, PacketSpec, select_centers
 from revivalkit.potential import Potential
 from revivalkit.util import linear_fit
 
 TWO_PI = 2.0 * math.pi
+# skewed well, h = 1e-4: the sum/difference table against two lobe fits
+PHASE_SUM_DIFF_BOUND = 5e-11  # rad
+ROOT_SUM_DIFF_BOUND = 5e-12  # in lambda
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +57,7 @@ def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
 
 class TestActionTable:
     def test_one_batched_action_call_per_lobe_side(self, quartic, skewed, monkeypatch):
-        sides = []
+        sides, fits = [], []
         real = model_module.regularized_action
 
         def counted(potential, energies, side, n):
@@ -60,23 +65,66 @@ class TestActionTable:
             assert energies.shape == (model_module.FIT_NODES,)
             return real(potential, energies, side, n)
 
+        class CountedFit(Chebyshev):
+            @classmethod
+            def fit(cls, *args, **kwargs):
+                fits.append(args[1].shape)
+                return Chebyshev.fit(*args, **kwargs)
+
         # looked up on the model module at call time, as the benchmark traces it
         monkeypatch.setattr(model_module, "regularized_action", counted)
+        monkeypatch.setattr(model_module, "Chebyshev", CountedFit)
         monkeypatch.setattr(model_module, "_TABLE_CACHE", {})
         skewed_table = model_module.build_action_table(skewed)
-        assert sides == [+1, -1]
+        assert sides == [+1, -1] and len(fits) == 2  # the sum and the difference
         even_table = model_module.build_action_table(quartic)
-        assert sides == [+1, -1, +1] and even_table.minus is even_table.plus
-        for fits in (skewed_table.plus, skewed_table.minus):
-            assert [f.coef.tolist() for f in fits[1:]] == [
-                fits[0].deriv(k).coef.tolist() for k in (1, 2, 3)
+        # an even potential makes one least-squares fit and has no difference
+        assert sides == [+1, -1, +1] and len(fits) == 3 and even_table.diff is None
+        for table in (skewed_table.total, skewed_table.diff, even_table.total):
+            assert [f.coef.tolist() for f in table[1:]] == [
+                table[0].deriv(k).coef.tolist() for k in (1, 2, 3)
             ]
+
+    def test_sum_and_difference_fits_match_two_lobe_fits(self, skewed):
+        # the non-even table fits theta_+ +- theta_- instead of adding two
+        # lobe fits: the same phases and roots up to the fits' rounding
+        table = model_module.build_action_table(skewed)
+        nodes = table.delta * np.cos(
+            (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
+        )
+        lobes = []
+        for side in (+1, -1):
+            vals = model_module.regularized_action(skewed, nodes, side, model_module.QUAD_NODES)
+            fit = Chebyshev.fit(nodes, vals, deg=model_module.FIT_NODES - 1,
+                                domain=[-table.delta, table.delta])
+            lobes.append([fit] + [fit.deriv(k) for k in (1, 2, 3)])
+        plus, minus = lobes
+        new = SpectralModel(skewed, 1e-4)
+        old = SpectralModel(skewed, 1e-4)
+        old.table = model_module.ActionTable(
+            table.delta,
+            tuple(lambda e, p=p, m=m: p(e) + m(e) for p, m in zip(plus, minus)),
+            tuple(lambda e, p=p, m=m: p(e) - m(e) for p, m in zip(plus, minus)),
+        )
+        lam = np.linspace(-20.0, 20.0, 4001)
+        for family in ("alpha", "beta"):
+            phase_new, phase_old = new._phase(family), old._phase(family)
+            assert np.max(np.abs(phase_new(lam) - phase_old(lam))) <= PHASE_SUM_DIFF_BOUND
+            for got, want in zip(new._derivatives(lam, family), old._derivatives(lam, family)):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        for got, want in (
+            (new.solve_families().alpha_lambdas, old.solve_families().alpha_lambdas),
+            (new.solve_families().beta_lambdas, old.solve_families().beta_lambdas),
+            (new.solve_ladder(-0.4, 15), old.solve_ladder(-0.4, 15)),
+        ):
+            assert got.keys() == want.keys()
+            assert max(abs(got[k] - want[k]) for k in got) <= ROOT_SUM_DIFF_BOUND
 
 
 class TestPhaseFunctions:
     def test_f_at_center_is_action_term_plus_quarter_turn(self, model_1e3):
         # arg Gamma(1/2) = 0 and the log term vanishes at lambda = 0
-        want = -float(model_1e3.table.plus[0](0.0)) / model_1e3.h + 0.5 * math.pi
+        want = -float(model_1e3.table.total[0](0.0)) / (2.0 * model_1e3.h) + 0.5 * math.pi
         assert abs(float(model_1e3.f_h(0.0)) - want) <= 1e-9 * abs(want)
 
     def test_g_vanishes_for_even_potential(self, model_1e3):
@@ -102,7 +150,7 @@ class TestPhaseFunctions:
 
     def test_slope_dominated_by_log_term(self, model_1e4):
         # leading part ln(h)/sqrt(-V''(0)) = -6.5127 at h = 1e-4, O(1) rest
-        slope = float(model_1e4.y_derivative(np.array([0.0]), 1)[0])
+        slope = float(model_1e4._derivatives(np.array([0.0]))[0][0])
         lead = math.log(1e-4) / math.sqrt(2.0)
         assert abs(lead - (-6.512694)) <= 1e-6
         assert slope < 0.0
@@ -114,8 +162,8 @@ class TestPhaseFunctions:
         want = (math.log(1e-3) - math.log(1e-4)) / math.sqrt(2.0)
         for lam, tol in ((-0.6, 5e-3), (0.0, 1e-12), (0.4, 5e-3)):
             d = float(
-                model_1e3.y_derivative(np.array([lam]), 1)[0]
-                - model_1e4.y_derivative(np.array([lam]), 1)[0]
+                model_1e3._derivatives(np.array([lam]))[0][0]
+                - model_1e4._derivatives(np.array([lam]))[0][0]
             )
             assert abs(d - want) <= tol
 
@@ -129,7 +177,7 @@ class TestPhaseFunctions:
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
             m = SpectralModel(quartic, h)
             lam = np.linspace(-1, 1, 101)
-            assert np.max(np.abs(m.y_derivative(lam, 2))) < 10.0
+            assert np.max(np.abs(m._derivatives(lam)[1])) < 10.0
 
 
 class TestDerivativeConsistency:
@@ -145,20 +193,25 @@ class TestDerivativeConsistency:
 
         for potential in (quartic, skewed):
             m = SpectralModel(potential, h)
-            for phase, deriv in ((m.y_h, m.y_derivative), (m.z_h, m.z_derivative)):
-                where = (potential.descriptor, phase.__name__)
-                d1 = float(deriv(np.array([lam]), 1)[0])
+            for family in ("alpha", "beta"):
+                phase = m._phase(family)
+                where = (potential.descriptor, family)
+
+                def deriv(t, order):
+                    return float(m._derivatives(np.array([t]), family)[order - 1][0])
+
+                d1 = deriv(lam, 1)
                 got = fd(lambda t: float(phase(np.array([t]))[0]))
                 assert abs(got - d1) <= 1e-6 * abs(d1), where
 
                 for order in (2, 3):
-                    want = float(deriv(np.array([lam]), order)[0])
-                    got = fd(lambda t: float(deriv(np.array([t]), order - 1)[0]))
+                    want = deriv(lam, order)
+                    got = fd(lambda t: deriv(t, order - 1))
                     assert abs(got - want) <= 1e-6 * max(abs(want), 0.1), (*where, order)
 
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5
-        z1 = float(model_1e4.z_derivative(np.array([lam]), 1)[0])
+        z1 = float(model_1e4._derivatives(np.array([lam]), "beta")[0][0])
         fd = float(
             (model_1e4.z_h(np.array([lam + step]))
              - model_1e4.z_h(np.array([lam - step])))[0]
@@ -259,7 +312,7 @@ class TestLadderAndPhaseData:
 
     def test_ladder_phase_evaluation_count(self, quartic, monkeypatch):
         # one call on the 4097-point grid, then one per BISECT_LEVELS steps of
-        # the 27 brackets; one step per call made 41 calls in all
+        # the 31 brackets; one step per call made 41 calls in all
         m = SpectralModel(quartic, 1e-4)
         sizes = []
         real = SpectralModel.y_h
@@ -270,8 +323,44 @@ class TestLadderAndPhaseData:
 
         monkeypatch.setattr(SpectralModel, "y_h", counted)
         roots = m.solve_ladder(lam_center=-0.4, n_side=15)
-        assert len(roots) == 27
+        assert len(roots) == 31
         assert len(sizes) == 9 and sizes[0] == 4097
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-8, 1.27e-12])
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_ladder_holds_every_index_within_n_side(self, quartic, h, family):
+        # gaps widen away from the barrier top: a reach sized by the gap at
+        # the centre alone fell short (27 of 31 roots at n_side = 15, h = 1e-4)
+        m = SpectralModel(quartic, h)
+        for lam_center in (-0.9, -0.4, 0.3):
+            for n_side in (5, 15, 40):
+                roots = m.solve_ladder(lam_center, n_side, family)
+                k0 = select_alpha_near(roots, lam_center)
+                assert sorted(roots) == list(range(k0 - n_side, k0 + n_side + 1))
+                # k0 is the root nearest the centre among all roots, too
+                wide = m._solve_on(m._phase(family), lam_center - 3.0, lam_center + 3.0)
+                assert k0 == select_alpha_near(wide, lam_center)
+
+    def test_short_first_reach_is_widened(self, quartic, monkeypatch):
+        # slopes read 8x too steep make the first reach far too short: each
+        # short side is doubled until it holds n_side roots past the nearest
+        m = SpectralModel(quartic, 1e-4)
+        want = m.solve_ladder(-0.4, 15)
+        real = SpectralModel._derivatives
+        monkeypatch.setattr(SpectralModel, "_derivatives",
+                            lambda self, lam, family="alpha": [8.0 * d for d in real(self, lam, family)])
+        got = m.solve_ladder(-0.4, 15)
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in got) <= 1e-9
+
+    def test_ladder_stops_at_the_table_domain(self, quartic):
+        # at h = 1e-2 the domain |lambda h| <= 0.95 delta holds fewer than
+        # 2 * 40 + 1 roots: the ladder is every root inside it
+        m = SpectralModel(quartic, 1e-2)
+        lam_max = 0.95 * m.table.delta / m.h
+        roots = m.solve_ladder(-0.4, 40)
+        assert roots == m._solve_on(m.y_h, -lam_max, lam_max, 4097)
+        assert len(roots) < 81
 
     @pytest.mark.parametrize("slope", [3.0 * TWO_PI, -3.0 * TWO_PI])
     def test_targets_on_samples_pick_scalar_brackets(self, model_1e4, slope):
@@ -286,7 +375,7 @@ class TestLadderAndPhaseData:
         n0 = select_alpha_near(roots, -0.4)
         ph = model_1e4.phase_data(roots, n0)
         lam0 = roots[n0]
-        yp = float(model_1e4.y_derivative(np.array([lam0]), 1)[0])
+        yp = float(model_1e4._derivatives(np.array([lam0]))[0][0])
         assert abs(ph.a1 - 1.0 / yp) <= 1e-14
         assert abs(ph.t_hyp - yp) <= 1e-10
         # finite-difference check of a1 = dA/dx at x = 2 pi n0 via neighbors
@@ -302,9 +391,8 @@ class TestLadderAndPhaseData:
         roots = m.solve_ladder(lam_center=-0.4, n_side=4)
         n0 = select_alpha_near(roots, -0.4)
         at_root = np.array([roots[n0]])
-        yp, ypp, yppp = (float(m.y_derivative(at_root, k)[0]) for k in (1, 2, 3))
-        grid = np.linspace(-1.0, 1.0, 201)
-        y1, y2, y3 = (m.y_derivative(grid, k) for k in (1, 2, 3))
+        yp, ypp, yppp = (float(d[0]) for d in m._derivatives(at_root))
+        y1, y2, y3 = m._derivatives(np.linspace(-1.0, 1.0, 201))
         want = PhaseData(
             a0=roots[n0],
             a1=1.0 / yp,
@@ -347,3 +435,31 @@ class TestLadderAndPhaseData:
             lnhs.append(abs(math.log(h)))
         fit = linear_fit(lnhs, periods)
         assert fit.rms_residual / np.mean(periods) <= 0.05
+
+
+class TestLadderPoint:
+    # the packet defaults of the evolve and revival commands
+    EVOLVE, REVIVAL = (0.9, 0.2), (0.3, 0.8)
+
+    @pytest.mark.parametrize(
+        "h, gammas",
+        [(1e-3, EVOLVE), (1e-4, EVOLVE), (1e-3, REVIVAL), (1e-4, REVIVAL)],
+        ids=["evolve-0.001", "evolve-0.0001", "revival-0.001", "revival-0.0001"],
+    )
+    def test_packet_is_never_clipped(self, quartic, h, gammas):
+        # evolve's packet at h = 1e-4 kept 83 of its 121 indices before the
+        # ladder reached past the widening gaps
+        spec = PacketSpec(energy=-0.45, gamma=gammas[0], gamma_prime=gammas[1], h=h)
+        point = ladder_point(quartic, spec)
+        radius = math.ceil(RADIUS_FACTOR * spec.width)
+        center = point.packet.center
+        assert point.packet.indices.tolist() == list(range(center - radius, center + radius + 1))
+
+    @pytest.mark.parametrize(
+        "h, gammas", [(1e-2, EVOLVE), (3e-3, EVOLVE), (1e-2, REVIVAL)],
+        ids=["evolve-0.01", "evolve-0.003", "revival-0.01"],
+    )
+    def test_clipped_packet_is_refused(self, quartic, h, gammas):
+        spec = PacketSpec(energy=-0.45, gamma=gammas[0], gamma_prime=gammas[1], h=h)
+        with pytest.raises(SupportError, match="does not reach"):
+            ladder_point(quartic, spec)

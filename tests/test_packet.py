@@ -23,8 +23,6 @@ def make_window(alpha_vals, beta_vals, h=1e-4, k0=-100):
     betas = [(k0 - i, v) for i, v in enumerate(beta_vals)]
     return SpectrumWindow(
         h=h,
-        alphas=alphas,
-        betas=betas,
         alpha_lambdas={k: v / h for k, v in alphas},
         beta_lambdas={k: v / h for k, v in betas},
     )

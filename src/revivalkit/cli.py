@@ -7,7 +7,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +95,26 @@ def _phase_block(phase) -> dict:
     return {name: getattr(phase, name) for name in names}
 
 
+def _ladder_block(spec: PacketSpec, point, n_samples: int) -> dict:
+    """The ladder-point fields that the evolve and revival manifests share."""
+    return {
+        **_spec_block(spec),
+        **_phase_block(point.phase),
+        "a3_bound": point.phase.a3_bound,
+        **point.model.root_checks(point.window, point.ladder),
+        "samples": n_samples,
+        "window_counts": [len(point.window.alphas), len(point.window.betas)],
+    }
+
+
+def _write_run(outdir: Path, manifest: dict, title: str = "", plots=()) -> None:
+    """Write manifest.json and, when plots are given, plot.gp; report the directory."""
+    write_json(outdir / "manifest.json", manifest)
+    if plots:
+        write_plot_script(outdir / "plot.gp", title, plots)
+    print(f"wrote {outdir}")
+
+
 def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
     """Write the model window's CSV; return its manifest block."""
     write_csv(
@@ -145,15 +164,9 @@ def cmd_spectrum(args) -> int:
         manifest["model"] = _model_block(model, model.solve_families(), outdir)
     if args.backend in ("direct", "both"):
         manifest["direct"] = _direct_block(args.h, outdir)
-    write_json(outdir / "manifest.json", manifest)
-    write_plot_script(
-        outdir / "plot.gp",
-        f"spectral window at h={args.h:g}",
-        [("model_spectrum.csv", "4:3", "model")]
-        if args.backend in ("model", "both")
-        else [("direct_spectrum.csv", "3:2", "direct")],
-    )
-    print(f"wrote {outdir}")
+    plot = (("model_spectrum.csv", "4:3", "model") if "model" in manifest
+            else ("direct_spectrum.csv", "3:2", "direct"))
+    _write_run(outdir, manifest, f"spectral window at h={args.h:g}", [plot])
     return 0
 
 
@@ -187,13 +200,8 @@ def cmd_packet(args) -> int:
         "delta_cardinality": sets.delta_cardinality,
         "gamma_mass": sets.gamma_mass,
     }
-    write_json(outdir / "manifest.json", manifest)
-    write_plot_script(
-        outdir / "plot.gp",
-        f"packet coefficients at h={args.h:g}",
-        [("coefficients.csv", "2:4", "|a_n|^2")],
-    )
-    print(f"wrote {outdir}")
+    _write_run(outdir, manifest, f"packet coefficients at h={args.h:g}",
+               [("coefficients.csv", "2:4", "|a_n|^2")])
     return 0
 
 
@@ -219,10 +227,8 @@ def cmd_evolve(args) -> int:
         "a1_abs": np.abs(a1),
         "a2_abs": np.abs(a2),
     }
-    closed = None
     if getattr(spec.chi, "chi2_fourier", None) is not None:
-        closed = order1_closed_form(packet, phase, t)
-        columns["closed_form"] = closed
+        columns["closed_form"] = order1_closed_form(packet, phase, t)
     write_csv(
         outdir / "timeseries.csv",
         ["t"] + list(columns),
@@ -237,25 +243,15 @@ def cmd_evolve(args) -> int:
     except NumericalFailure:
         pass
     manifest = {
-        **_spec_block(spec),
+        **_ladder_block(spec, point, n_samples),
         "alpha": alpha,
         "center_alpha": packet.center,
         "center_beta": point.center_beta,
-        **_phase_block(phase),
-        "a3_bound": phase.a3_bound,
-        **point.model.root_checks(point.window, point.ladder),
-        "samples": n_samples,
         "sup_exact_minus_order1": float(np.max(np.abs(r_exact - a1))),
         "order1_peak_period": peak_period,
-        "window_counts": [len(point.window.alphas), len(point.window.betas)],
     }
-    write_json(outdir / "manifest.json", manifest)
-    write_plot_script(
-        outdir / "plot.gp",
-        f"autocorrelation at h={args.h:g}",
-        [("timeseries.csv", "2:3", "exact"), ("timeseries.csv", "2:4", "order 1")],
-    )
-    print(f"wrote {outdir}")
+    _write_run(outdir, manifest, f"autocorrelation at h={args.h:g}",
+               [("timeseries.csv", "2:3", "exact"), ("timeseries.csv", "2:4", "order 1")])
     return 0
 
 
@@ -279,27 +275,14 @@ def cmd_revival(args) -> int:
     t_clone = np.linspace(0.0, 2.0 * t_hyp, 512)
     for p, q in args.pq:
         cmp = fractional_prediction(packet, phase, p, q, t_clone)
-        fractional[f"{p}/{q}"] = {
-            "ell": cmp.ell,
-            "sup_difference": cmp.sup_difference,
-        }
+        fractional[f"{p}/{q}"] = {"ell": cmp.ell, "sup_difference": cmp.sup_difference}
     manifest = {
-        **_spec_block(spec),
+        **_ladder_block(spec, point, n_samples),
         "beta": beta,
-        **_phase_block(phase),
-        "a3_bound": phase.a3_bound,
-        **point.model.root_checks(point.window, point.ladder),
-        "samples": n_samples,
         "fractional": fractional,
-        "window_counts": [len(point.window.alphas), len(point.window.betas)],
     }
-    write_json(outdir / "manifest.json", manifest)
-    write_plot_script(
-        outdir / "plot.gp",
-        f"revival-scale dynamics at h={args.h:g}",
-        [("revival.csv", "3:4", "|order-2|")],
-    )
-    print(f"wrote {outdir}")
+    _write_run(outdir, manifest, f"revival-scale dynamics at h={args.h:g}",
+               [("revival.csv", "3:4", "|order-2|")])
     return 0
 
 
@@ -333,8 +316,7 @@ def cmd_gauss(args) -> int:
         "parseval": float(np.sum(coeffs.moduli_squared)),
         "all_match": all(r[-1] == "pass" for r in rows),
     }
-    write_json(outdir / "manifest.json", manifest)
-    print(f"wrote {outdir}")
+    _write_run(outdir, manifest)
     return 0 if manifest["all_match"] else 3
 
 
@@ -365,29 +347,28 @@ def _sweep_point(args, h: float, outdir: Path) -> dict:
     return record
 
 
+def _slope_fit(x, y) -> dict:
+    """Straight-line fit of y on x, its largest residual relative to the slope."""
+    fit = linear_fit(x, y)
+    return {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "max_residual_over_slope": fit.max_abs_residual / abs(fit.slope),
+    }
+
+
 def cmd_sweep(args) -> int:
     outdir = _out_dir(args, "sweep")
     hs = args.h_list
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        records = list(
-            pool.map(lambda h: _sweep_point(args, h, outdir / f"h={h:.3e}"), hs)
-        )
-
+    records = [_sweep_point(args, h, outdir / f"h={h:.3e}") for h in hs]
     lnhs = [r["log_scale"] for r in records]
-    manifest: dict = {"h_list": hs, "points": records}
-    t_fit = linear_fit(lnhs, [abs(r["t_hyp"]) for r in records])
-    manifest["t_hyp_fit"] = {
-        "slope": t_fit.slope,
-        "intercept": t_fit.intercept,
-        "max_residual_over_slope": t_fit.max_abs_residual / abs(t_fit.slope),
+    manifest: dict = {
+        "h_list": hs,
+        "points": records,
+        "t_hyp_fit": _slope_fit(lnhs, [abs(r["t_hyp"]) for r in records]),
     }
     if args.classical:
-        tau_fit = linear_fit(lnhs, [r["tau_classical"] for r in records])
-        manifest["tau_fit"] = {
-            "slope": tau_fit.slope,
-            "intercept": tau_fit.intercept,
-            "max_residual_over_slope": tau_fit.max_abs_residual / abs(tau_fit.slope),
-        }
+        manifest["tau_fit"] = _slope_fit(lnhs, [r["tau_classical"] for r in records])
     counts = [r["model"]["count_alpha"] + r["model"]["count_beta"] for r in records]
     c_fit = linear_fit(lnhs, counts)
     manifest["count_fit"] = {
@@ -402,7 +383,6 @@ def cmd_sweep(args) -> int:
             "max": max(scaled),
             "median": float(np.median(scaled)),
         }
-    write_json(outdir / "manifest.json", manifest)
     write_csv(
         outdir / "sweep_summary.csv",
         ["h", "log_scale", "count_total", "t_hyp", "t_rev", "theta_frac"],
@@ -418,12 +398,8 @@ def cmd_sweep(args) -> int:
             for r, count in zip(records, counts)
         ],
     )
-    write_plot_script(
-        outdir / "plot.gp",
-        "sweep summary",
-        [("sweep_summary.csv", "2:4", "T_hyp vs |ln h|")],
-    )
-    print(f"wrote {outdir}")
+    _write_run(outdir, manifest, "sweep summary",
+               [("sweep_summary.csv", "2:4", "T_hyp vs |ln h|")])
     return 0
 
 
@@ -486,7 +462,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--h", default="1e-3,1e-4", help="comma-separated list")
     s.add_argument("--E", type=float, default=-0.45)
     _add_backend(s)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--classical", action="store_true")
     return parser, sub_map
 

@@ -151,10 +151,6 @@ class WindowedSpectrum:
     def gaps(self) -> np.ndarray:
         return np.diff(self.eigenvalues)
 
-    def parity_family(self, parity: str) -> np.ndarray:
-        keep = [i for i, p in enumerate(self.parities) if p == parity]
-        return self.eigenvalues[keep]
-
     def csv_rows(self):
         vals = self.eigenvalues
         for i, val in enumerate(vals):

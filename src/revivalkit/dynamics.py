@@ -320,10 +320,10 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     y^(n^2)) built by multiplication from n = 0 outward, not exponentiated
     per sample and offset.
     """
-    from .gausssum import coefficients, periodicity_set
+    from .gausssum import coefficients
 
-    ell = periodicity_set(p, q).generator
     coeffs = coefficients(p, q, int(packet.center))
+    ell = coeffs.ell
     base_shift = Fraction(p * phase.n_h, q)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offs = packet.offsets

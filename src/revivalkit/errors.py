@@ -45,10 +45,6 @@ class MonotonicityError(NumericalFailure):
     """A quantization function sampled as non-monotone."""
 
 
-class RootBracketError(NumericalFailure):
-    """A quantization root could not be bracketed."""
-
-
 class ResolutionError(NumericalFailure):
     """Grid spacing too coarse for the requested spectral window."""
 
@@ -83,7 +79,3 @@ class NoPeaks(NumericalFailure):
 
 class NotCoprime(ConfigError):
     """p and q must be coprime."""
-
-
-class PeriodMismatch(ConfigError):
-    """Two periodic sequences do not share the same period."""

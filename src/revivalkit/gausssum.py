@@ -1,33 +1,18 @@
-"""Exact arithmetic of quadratic phase sequences and clone coefficients.
+"""Periodicity lattice, clone coefficients and their modulus law.
 
-Every phase is reduced modulo 1 as a Fraction before any complex
-exponential is taken, so periodicity checks are exact and the computed
-moduli are reproducible to machine precision.
+Every phase is reduced modulo 1 in integers before any complex
+exponential is taken, so the computed moduli are reproducible to machine
+precision at any packet centre.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotCoprime, ParameterError, PeriodMismatch
-
-
-def _require_coprime(p: int, q: int) -> None:
-    if q < 1:
-        raise ParameterError(f"q must be a positive integer, got {q}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p={p} and q={q} are not coprime")
-
-
-def _unit_phase(x: Fraction) -> complex:
-    """exp(-2 pi i x) with x reduced modulo 1 exactly first."""
-    r = x - math.floor(x)
-    return cmath.exp(-2j * math.pi * float(r))
+from .errors import NotCoprime, ParameterError
 
 
 @dataclass(frozen=True)
@@ -43,42 +28,12 @@ def periodicity_set(p: int, q: int) -> PeriodicitySet:
 
     q odd or q = 2 mod 4 gives q*Z; q divisible by 4 gives (q/2)*Z.
     """
-    _require_coprime(p, q)
-    if q % 2 == 1 or (q // 2) % 2 == 1:
-        return PeriodicitySet(generator=q, description=f"{q}Z")
-    return PeriodicitySet(generator=q // 2, description=f"{q // 2}Z")
-
-
-def verify_periodicity(p: int, q: int, ell: int, m_values=None) -> bool:
-    """Exact divisibility check q | (2 p ell m + p ell^2) for all m."""
-    _require_coprime(p, q)
-    if m_values is None:
-        m_values = range(-1000, 1001)
-    return all((2 * p * ell * m + p * ell * ell) % q == 0 for m in m_values)
-
-
-def quadratic_phase_sequence(p: int, q: int, n0: int, n_values) -> np.ndarray:
-    """Values exp(-2 pi i (p/q)(n - n0)^2), phases reduced exactly."""
-    _require_coprime(p, q)
-    return np.array(
-        [_unit_phase(Fraction(p * (int(n) - n0) ** 2, q)) for n in n_values]
-    )
-
-
-def fourier_mode(k: int, ell: int, n_values) -> np.ndarray:
-    """Basis sequence exp(-2 pi i k n / ell)."""
-    return np.array([_unit_phase(Fraction(k * int(n), ell)) for n in n_values])
-
-
-def inner_product(u, v) -> complex:
-    """Hermitian product (1/ell) sum_k u_k conj(v_k) over one period."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if len(u) != len(v) or len(u) == 0:
-        raise PeriodMismatch(
-            f"sequences must share one period (got lengths {len(u)}, {len(v)})"
-        )
-    return complex(np.sum(u * np.conj(v)) / len(u))
+    if q < 1:
+        raise ParameterError(f"q must be a positive integer, got {q}")
+    if math.gcd(p, q) != 1:
+        raise NotCoprime(f"p={p} and q={q} are not coprime")
+    ell = q // 2 if q % 4 == 0 else q
+    return PeriodicitySet(generator=ell, description=f"{ell}Z")
 
 
 @dataclass(frozen=True)
@@ -105,7 +60,6 @@ def coefficients(p: int, q: int, n0: int) -> RevivalCoefficients:
     so b_k = (1/ell) sum_n exp(-2 pi i [(p/q)(n-n0)^2 - k n/ell]).
     b~_k = exp(-2 pi i k n0/ell) b_k recentres the expansion at n0.
     """
-    _require_coprime(p, q)
     ell = periodicity_set(p, q).generator
     # common denominator q*ell: the numerators p ell (n - n0)^2 - k n q are
     # reduced mod q*ell in integers, with n0 first reduced in Python ints
@@ -127,20 +81,8 @@ def modulus_law(p: int, q: int) -> tuple[int, np.ndarray]:
     q odd: all 1/q.  q = 2 mod 4: zero for even k, 2/q for odd k.
     q = 0 mod 4: period q/2 with all entries 2/q.
     """
-    _require_coprime(p, q)
-    if q % 2 == 1:
-        return q, np.full(q, 1.0 / q)
-    if (q // 2) % 2 == 1:
-        table = np.zeros(q)
-        table[1::2] = 2.0 / q
-        return q, table
-    return q // 2, np.full(q // 2, 2.0 / q)
-
-
-def reconstruct(coeffs: RevivalCoefficients, n_values) -> np.ndarray:
-    """Rebuild the quadratic phase sequence from its Fourier data."""
-    out = np.zeros(len(list(n_values)), dtype=complex)
-    ns = list(n_values)
-    for k in range(coeffs.ell):
-        out += coeffs.values[k] * fourier_mode(k, coeffs.ell, ns)
-    return out
+    ell = periodicity_set(p, q).generator
+    table = np.full(ell, (1.0 if q % 2 else 2.0) / q)
+    if ell == q and q % 2 == 0:
+        table[0::2] = 0.0
+    return ell, table

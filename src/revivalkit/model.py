@@ -16,13 +16,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from . import packet
 from .dynamics import PhaseData
-from .errors import (
-    DomainError,
-    MonotonicityError,
-    NumericalError,
-    RootBracketError,
-    SupportError,
-)
+from .errors import DomainError, MonotonicityError, NumericalError, SupportError
 from .potential import Potential, regularized_action, validate_saddle
 from .specfun import arg_gamma_half_line, digamma, tetragamma, trigamma
 from .util import bisect_lockstep
@@ -153,9 +147,6 @@ class SpectralModel:
         theta_sum = self.table.total[0](lam * self.h) / (2.0 * self.h)
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
-    def g_h(self, lam):
-        return self._g(self._check_domain(lam))
-
     def _g(self, lam):
         if self.table.diff is None:
             return np.zeros_like(lam)
@@ -269,18 +260,17 @@ class SpectralModel:
                 "sampled quantization phase is not strictly monotone"
             )
         lo, hi = float(min(fv[0], fv[-1])), float(max(fv[0], fv[-1]))
-        ks = np.arange(int(np.ceil(lo / TWO_PI)), int(np.floor(hi / TWO_PI)) + 1)
+        # lo / 2 pi can round across an integer that 2 pi k does not: take
+        # one k past each end, then every k whose target lies in [lo, hi]
+        ks = np.arange(math.ceil(lo / TWO_PI) - 1, math.floor(hi / TWO_PI) + 2)
         targets = TWO_PI * ks
+        keep = (targets >= lo) & (targets <= hi)
+        ks, targets = ks[keep], targets[keep]
         # first sample interval [i, i+1] with the target between its ends,
         # the left one when the target equals a sample exactly
         rising = fv[-1] > fv[0]
         up, t_up = (fv, targets) if rising else (-fv, -targets)
-        first = np.searchsorted(up, t_up, side="left")
-        missing = (first == len(fv)) | (up[0] > t_up)
-        if np.any(missing):
-            k = int(ks[np.argmax(missing)])
-            raise RootBracketError(f"could not bracket the k={k} root")
-        i = np.maximum(first - 1, 0)
+        i = np.maximum(np.searchsorted(up, t_up, side="left") - 1, 0)
         lams = bisect_lockstep(func, grid[i], grid[i + 1],
                                 fv[i] - targets, fv[i + 1] - targets, targets)
         return {int(k): float(lam) for k, lam in zip(ks, lams)}

@@ -80,9 +80,6 @@ class FitResult:
     rms_residual: float
     max_abs_residual: float
 
-    def predict(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
 
 def linear_fit(x, y) -> FitResult:
     x = np.asarray(x, dtype=float)

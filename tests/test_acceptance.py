@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_gauss import verify_periodicity
 from revivalkit.direct import discretize, window_spectrum
 from revivalkit.dynamics import (
     PhaseData,
@@ -22,7 +23,7 @@ from revivalkit.dynamics import (
     order1_series,
     order2_series,
 )
-from revivalkit.gausssum import coefficients, modulus_law, periodicity_set, verify_periodicity
+from revivalkit.gausssum import coefficients, modulus_law, periodicity_set
 from revivalkit.model import SpectralModel, interleaving_violations, select_alpha_near
 from revivalkit.packet import PacketSpec, build_coefficients
 from revivalkit.potential import canonical_double_well, flow_period

@@ -19,7 +19,7 @@ OPTIONS = {
     "evolve": PACKET | {"--alpha", "--periods"},
     "revival": PACKET | {"--beta", "--p", "--q"},
     "gauss": {"--p", "--q", "--n0"},
-    "sweep": {"--h", "--E", "--backend", "--jobs", "--classical"},
+    "sweep": {"--h", "--E", "--backend", "--classical"},
 }
 
 
@@ -33,7 +33,7 @@ class TestOptions:
             for name, sub in subs.items()
         }
         assert got == {name: opts | {"--out", "--config"} for name, opts in OPTIONS.items()}
-        assert sum(len(opts) for opts in got.values()) == 42
+        assert sum(len(opts) for opts in got.values()) == 41
 
     @pytest.mark.parametrize(
         "argv",
@@ -45,6 +45,7 @@ class TestOptions:
             # the CLI's grid always runs the fourth-order stencil
             ["spectrum", "--fd-order", "4"],
             ["sweep", "--fd-order", "2"],
+            ["sweep", "--jobs", "2"],  # the sweep runs its h values in order
             ["evolve", "--p", "1"],  # no prefix match onto --periods
             ["revival", "--parity", "odd"],
             ["gauss", "--h", "1e-3"],
@@ -325,8 +326,7 @@ def test_root_resolution_shows_the_phase_precision(h, band):
 class TestSweep:
     def test_fits_in_manifest(self, tmp_path):
         code = main(
-            ["sweep", "--h", "1e-2,1e-3,1e-4", "--classical", "--jobs", "2",
-             "--out", str(tmp_path)]
+            ["sweep", "--h", "1e-2,1e-3,1e-4", "--classical", "--out", str(tmp_path)]
         )
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -26,6 +26,7 @@ from revivalkit.dynamics import (
 )
 from revivalkit.errors import (
     NoPeaks,
+    NotCoprime,
     ParameterError,
     ProfileError,
     SupportError,
@@ -254,6 +255,14 @@ class TestExactSeries:
 
 
 class TestFractional:
+    def test_inadmissible_fraction_is_rejected(self, packet, phase):
+        # the period and its checks come from the coefficient table
+        t = np.linspace(0.0, math.pi, 9)
+        with pytest.raises(NotCoprime):
+            fractional_prediction(packet, phase, 2, 4, t)
+        with pytest.raises(ParameterError):
+            fractional_prediction(packet, phase, 1, 0, t)
+
     def test_unit_fraction_reduces_to_order1(self, packet, phase):
         t = np.linspace(0.0, math.pi, 257)
         cmp = fractional_prediction(packet, phase, 1, 1, t)

@@ -9,7 +9,7 @@ from scipy.optimize import bisect
 
 from revivalkit import model as model_module
 from revivalkit.dynamics import PhaseData
-from revivalkit.errors import DomainError, SupportError
+from revivalkit.errors import DomainError, MonotonicityError, SupportError
 from revivalkit.model import (
     SpectralModel,
     interleaving_violations,
@@ -129,7 +129,7 @@ class TestPhaseFunctions:
 
     def test_g_vanishes_for_even_potential(self, model_1e3):
         lam = np.linspace(-1, 1, 41)
-        assert np.max(np.abs(model_1e3.g_h(lam))) == 0.0
+        assert np.max(np.abs(model_1e3._g(lam))) == 0.0
 
     def test_tunneling_angle_range(self, model_1e3):
         lam = np.linspace(-1, 1, 81)
@@ -261,7 +261,7 @@ class TestFamilies:
         fit = linear_fit(x, y)
         assert fit.slope > 0.0
         se = math.sqrt(
-            np.sum((y - fit.predict(x)) ** 2) / (len(x) - 2)
+            np.sum((y - fit.slope * x - fit.intercept) ** 2) / (len(x) - 2)
         ) / math.sqrt(np.sum((x - x.mean()) ** 2))
         assert se / fit.slope <= 0.05
 
@@ -369,6 +369,39 @@ class TestLadderAndPhaseData:
         got = model_1e4._solve_on(func, -1.0, 1.0, n_grid=5)
         assert got == _scalar_solve_on(model_1e4, func, -1.0, 1.0, n_grid=5)
         assert len(got) == 7 and got[0] == 0.0 and abs(got[3]) == 1.0
+
+    @pytest.mark.parametrize(
+        "start, slope, want",
+        [
+            # lo / 2 pi rounds to 19, though fl(2 pi 19) lies below lo
+            pytest.param(np.nextafter(TWO_PI * 19, np.inf), 4.0, [20], id="lo-ulp-above-19"),
+            # lo = fl(2 pi 13), though lo / 2 pi rounds above 13: the root is lambda = -1
+            pytest.param(TWO_PI * 13, 1.0, [13], id="lo-on-13"),
+            # the same two roundings at the top of a falling phase
+            pytest.param(np.nextafter(TWO_PI * 17, -np.inf), -4.0, [16], id="hi-ulp-below-17"),
+            pytest.param(TWO_PI * 11, -1.0, [11], id="hi-on-11"),
+        ],
+    )
+    def test_targets_at_the_range_ends(self, model_1e4, start, slope, want):
+        # a strictly monotone phase whose first sample sits on or one ulp off
+        # fl(2 pi k): every target in [lo, hi], and no other, is bracketed
+        func = lambda t: start + slope * (np.asarray(t) + 1.0)
+        got = model_1e4._solve_on(func, -1.0, 1.0)
+        assert sorted(got) == want
+        for k in want:
+            assert abs(got[k] - ((TWO_PI * k - start) / slope - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            pytest.param(lambda t: 40.0 * np.sin(3.0 * np.asarray(t)), id="turning"),
+            pytest.param(lambda t: np.where(np.asarray(t) > 0.5, np.nan, 40.0 * np.asarray(t)),
+                         id="nan-sample"),
+        ],
+    )
+    def test_non_monotone_phase_is_monotonicity_error(self, model_1e4, func):
+        with pytest.raises(MonotonicityError):
+            model_1e4._solve_on(func, -1.0, 1.0)
 
     def test_phase_data_inverse_derivatives(self, model_1e4):
         roots = model_1e4.solve_ladder(lam_center=-0.4, n_side=8)

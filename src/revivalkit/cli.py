@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .direct import discretize, window_spectrum
 from .dynamics import (
     default_alpha,
     default_beta,
@@ -134,6 +133,9 @@ def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
 
 def _direct_block(h: float, outdir: Path) -> dict:
     """Solve the grid window (fourth-order stencil), write its CSV; return its manifest block."""
+    # the grid oracle is the one scipy user: the model-only commands never load it
+    from .direct import discretize, window_spectrum
+
     op = discretize(canonical_double_well(), h, order=4)
     spectrum = window_spectrum(op)
     write_csv(

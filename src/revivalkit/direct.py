@@ -29,6 +29,7 @@ from .potential import Potential
 
 WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
 AGMON_DECAY = 40.0  # Agmon distance / h from the allowed region to a cut wall
+MAX_DOUBLINGS = 8  # of the default domain, while a side falls short of its wall
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,13 @@ def discretize(
     The nodes strictly inside the farther of the two walls are kept, the
     same number on each side, so the matrix is the central principal block
     of the full-domain one and x = 0 stays its centre.  If a side's domain
-    ends first, nothing is cut and the walls stay at -L and L.
+    ends first, the default domain (L=None, the potential's
+    domain_halfwidth) is doubled until both sides reach their walls; an
+    explicit L is kept, and its walls stay at -L and L.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
+    grow = L is None
     L = potential.domain_halfwidth if L is None else float(L)
     bound = resolution_bound(potential, h)
     dx = bound if dx is None else float(dx)
@@ -82,17 +86,25 @@ def discretize(
         raise TruncationError(
             f"V(+-{L:g}) must exceed h + {WALL_MARGIN:g} to confine windowed states"
         )
-    n_cells = int(math.ceil(2.0 * L / dx))
-    if n_cells % 2 == 1:
-        n_cells += 1  # keep x = 0 on the grid so reflection is exact
-    x = np.linspace(-L, L, n_cells + 1)[1:-1]
+    for _ in range(MAX_DOUBLINGS + 1):
+        n_cells = int(math.ceil(2.0 * L / dx))
+        if n_cells % 2 == 1:
+            n_cells += 1  # keep x = 0 on the grid so reflection is exact
+        x = np.linspace(-L, L, n_cells + 1)[1:-1]
+        v = np.asarray(potential.evaluate(x), dtype=float)
+        c = n_cells // 2 - 1  # x[c] = 0
+        # each side outward from x = 0: |x| and V at its nodes, then at its wall L
+        sides = [(np.append(side * x[c::side], L), np.append(v[c::side], potential.evaluate(side * L)))
+                 for side in (1, -1)]
+        walls, decays, reached = zip(*(_agmon_wall(r, vr, h) for r, vr in sides))
+        if all(reached) or not grow:
+            break
+        L *= 2.0
+    else:
+        raise TruncationError(
+            f"no Agmon wall at distance {AGMON_DECAY:g} h within |x| <= {L / 2.0:g}"
+        )
     dx = float(x[1] - x[0])
-    v = np.asarray(potential.evaluate(x), dtype=float)
-    c = n_cells // 2 - 1  # x[c] = 0
-    # each side outward from x = 0: |x| and V at its nodes, then at its wall L
-    sides = [(np.append(side * x[c::side], L), np.append(v[c::side], potential.evaluate(side * L)))
-             for side in (1, -1)]
-    walls, decays = zip(*(_agmon_wall(r, vr, h) for r, vr in sides))
     cut = max(walls)
     x, v = x[c - cut + 1:c + cut].copy(), v[c - cut + 1:c + cut]
     halfwidth = float(sides[0][0][cut])  # |x| of the right-hand wall
@@ -123,8 +135,9 @@ def discretize(
     )
 
 
-def _agmon_wall(r: np.ndarray, v: np.ndarray, h: float) -> tuple[int, np.ndarray]:
-    """The wall index on one side, and the Agmon distance at every node.
+def _agmon_wall(r: np.ndarray, v: np.ndarray, h: float) -> tuple[int, np.ndarray, bool]:
+    """The wall index on one side, the Agmon distance at every node, and
+    whether any node meets both criteria.
 
     r runs outward from the centre node (r[0] = 0) to the domain wall, v is V
     there.  The distance is a trapezoid sum of sqrt(2 max(V - h, 0)) from the
@@ -138,7 +151,7 @@ def _agmon_wall(r: np.ndarray, v: np.ndarray, h: float) -> tuple[int, np.ndarray
     steps[:start] = 0.0
     dist = np.concatenate([[0.0], np.cumsum(steps)])
     meets = np.flatnonzero((dist >= AGMON_DECAY * h) & (v > h + WALL_MARGIN))
-    return (int(meets[0]) if len(meets) else len(r) - 1), dist
+    return (int(meets[0]) if len(meets) else len(r) - 1), dist, len(meets) > 0
 
 
 @dataclass(frozen=True)

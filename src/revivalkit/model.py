@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import polyutils
+from numpy.polynomial.chebyshev import Chebyshev, chebval
 
 from . import packet
 from .dynamics import PhaseData
@@ -26,11 +27,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ActionTable:
-    """Chebyshev fits of the regularized lobe actions on [-delta, delta].
+    """Chebyshev interpolants of the regularized lobe actions on [-delta, delta].
 
-    total[k] and diff[k] are the k-th derivatives (k = 0..3) of the fits of
-    theta_+ + theta_- and theta_+ - theta_-; diff is None for an even
-    potential, whose two lobes have one action.
+    total[k] and diff[k] are the k-th derivatives (k = 0..3) of the
+    interpolants of theta_+ + theta_- and theta_+ - theta_-; diff is None
+    for an even potential, whose two lobes have one action.
     """
 
     delta: float
@@ -38,14 +39,29 @@ class ActionTable:
     diff: tuple[Chebyshev, ...] | None
 
 
-# energy half-width of the fit, Chebyshev nodes, Gauss-Jacobi nodes per action
+# energy half-width of the table, Chebyshev nodes, Gauss-Jacobi nodes per action
 ACTION_DELTA, FIT_NODES, QUAD_NODES = 0.1, 160, 600
 
 _TABLE_CACHE: dict[str, ActionTable] = {}
 
 
+def _interpolant(values: np.ndarray, delta: float) -> tuple[Chebyshev, ...]:
+    """The degree N-1 Chebyshev series through values at the N nodes
+    delta cos((2j+1) pi / 2N), with its first three derivatives.
+
+    Its coefficients are the DCT-II of the values, taken from one real FFT
+    of their even extension.
+    """
+    n = len(values)
+    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))[:n]
+    coef = np.real(np.exp(-0.5j * np.pi * np.arange(n) / n) * spectrum) / n
+    coef[0] *= 0.5
+    f = Chebyshev(coef, domain=[-delta, delta])
+    return (f,) + tuple(f.deriv(k) for k in (1, 2, 3))
+
+
 def build_action_table(potential: Potential) -> ActionTable:
-    """Sample the regularized actions at Chebyshev nodes on [-delta, delta] and fit."""
+    """Sample the regularized actions at Chebyshev nodes on [-delta, delta] and interpolate."""
     hit = _TABLE_CACHE.get(potential.descriptor)
     if hit is not None:
         return hit
@@ -53,19 +69,24 @@ def build_action_table(potential: Potential) -> ActionTable:
     j = np.arange(FIT_NODES)
     nodes = delta * np.cos((2 * j + 1) * np.pi / (2 * FIT_NODES))
     plus = regularized_action(potential, nodes, +1, QUAD_NODES)
-
-    def fit(vals):
-        f = Chebyshev.fit(nodes, vals, deg=FIT_NODES - 1, domain=[-delta, delta])
-        return (f,) + tuple(f.deriv(k) for k in (1, 2, 3))
-
     if potential.even:
-        # one fit, doubled: both lobes carry the same action
-        table = ActionTable(delta, tuple(2.0 * f for f in fit(plus)), None)
+        # both lobes carry the same action
+        table = ActionTable(delta, _interpolant(2.0 * plus, delta), None)
     else:
         minus = regularized_action(potential, nodes, -1, QUAD_NODES)
-        table = ActionTable(delta, fit(plus + minus), fit(plus - minus))
+        table = ActionTable(delta, _interpolant(plus + minus, delta),
+                            _interpolant(plus - minus, delta))
     _TABLE_CACHE[potential.descriptor] = table
     return table
+
+
+def _derivative_values(series: tuple[Chebyshev, ...], energy) -> np.ndarray:
+    """series[1..3] at energy, stacked on a new first axis, in one Clenshaw
+    pass over their zero-padded coefficients (equal to three calls, bit for bit)."""
+    coef = np.zeros((len(series[1].coef), 3))
+    for k in (1, 2, 3):
+        coef[: len(series[k].coef), k - 1] = series[k].coef
+    return chebval(polyutils.mapdomain(energy, series[1].domain, series[1].window), coef)
 
 
 @dataclass(frozen=True)
@@ -203,7 +224,7 @@ class SpectralModel:
             - 0.5 * (1.0 + q) ** -1.5 * qd[3]
         )
         g = self._g(lam)
-        gd = [self.table.diff[k](lam * h) * h ** (k - 1) / 2.0 for k in range(1, 4)]
+        gd = [d * h ** k / 2.0 for k, d in enumerate(_derivative_values(self.table.diff, lam * h))]
         cg, sg = np.cos(g), np.sin(g)
         u = cg * s
         up = -sg * gd[0] * s + cg * sp
@@ -241,9 +262,10 @@ class SpectralModel:
             -np.real(tetragamma(z)) / w**3,
         )
         angle = self._tunneling_angle_derivatives(lam)
+        total = _derivative_values(self.table.total, lam * h)
         out = []
         for k in (1, 2, 3):
-            d = -(self.table.total[k](lam * h) * h ** (k - 1) / 2.0) + arg_gamma[k - 1]
+            d = -(total[k - 1] * h ** (k - 1) / 2.0) + arg_gamma[k - 1]
             if k == 1:
                 d = d + self.lnh / w
             out.append(d + sign * angle[k - 1])

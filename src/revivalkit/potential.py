@@ -10,14 +10,15 @@ every root, here and in the model, comes from util.bisect_lockstep.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     NonClosingOrbit,
+    NumericalError,
     ParameterError,
     ToleranceFailure,
     TopologyError,
@@ -233,11 +234,75 @@ def turning_points(potential: Potential, energy, side: int):
     return _like(energy, lo), _like(energy, hi)
 
 
+def _jacobi_pair(n: int, alpha: Array, beta: Array, t: Array) -> tuple[Array, Array]:
+    """P_n and P_{n-1} of the Jacobi polynomials P_k^(alpha, beta) at u = 1 - t.
+
+    The three-term recurrence runs in differences D_k = P_k - P_{k-1}
+    (Reinsch's form): D_k = (e_k - f_k t) P_{k-1} + d_k D_{k-1}.  Its
+    coefficients see t, not u = 1 - t, so near u = 1, where t is small, the
+    values keep t's relative precision.  alpha, beta broadcast against t.
+    """
+    k = np.arange(2, n + 1, dtype=float)[:, None, None]
+    c = 2.0 * k + alpha + beta
+    den = 2.0 * k * (k + alpha + beta) * (c - 2.0)
+    e = 2.0 * alpha * (alpha * (c - 1.0) - beta) / den
+    f = (c - 2.0) * (c - 1.0) * c / den
+    d = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * c / den
+    p, dp = np.ones_like(t), alpha - 0.5 * (alpha + beta + 2.0) * t
+    for ek, fk, dk in zip(e, f, d):
+        p = p + dp
+        dp = (ek - fk * t) * p + dk * dp
+    return p + dp, p
+
+
+# Newton steps in theta stop once every step is below NEWTON_RTOL * theta
+NEWTON_RTOL, NEWTON_MAXITER = 1e-10, 12
+
+
 @functools.lru_cache(maxsize=16)
 def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[Array, Array, Array]:
     """Gauss-Jacobi nodes and weights for (1-u)^alpha (1+u)^beta, with the
-    square of that weight at the nodes; computed once per rule and read-only."""
-    u, wgt = roots_jacobi(n, alpha, beta)
+    square of that weight at the nodes; computed once per rule and read-only.
+
+    All nodes u = cos(theta) are found at once by Newton's method in theta,
+    from the asymptotic first guesses of Hale and Townsend (SIAM J. Sci.
+    Comput. 35, 2013).  The half nearer u = 1 is solved on P_n^(alpha, beta)
+    and the half nearer u = -1 on P_n^(beta, alpha)(-u) at pi - theta, each
+    at t = 2 sin^2(theta / 2): every node is resolved relative to its nearer
+    end.  At a root (1 - u^2) P_n' is a constant times P_{n-1}, so the
+    weights sin^2 theta / ((1 - u^2) P_n')^2 are sin^2 theta / P_{n-1}^2
+    normalized to mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1).
+    """
+    ab = alpha + beta
+    rho = n + 0.5 * (ab + 1.0)
+    phi = (np.arange(1, n + 1) + 0.5 * alpha - 0.25) * np.pi / rho
+    guess = phi + ((0.25 - alpha**2) / np.tan(0.5 * phi)
+                   - (0.25 - beta**2) * np.tan(0.5 * phi)) / (4.0 * rho**2)
+    # row 0 from u = 1 inward, row 1 from u = -1 inward; an odd n's middle
+    # node sits in both rows
+    half = (n + 1) // 2
+    theta = np.stack([guess[:half], np.pi - guess[::-1][:half]])
+    a, b = np.array([[alpha], [beta]]), np.array([[beta], [alpha]])
+    c = 2.0 * n + ab
+    converged = False
+    for _ in range(NEWTON_MAXITER):
+        t = 2.0 * np.sin(0.5 * theta) ** 2
+        pn, pm = _jacobi_pair(n, a, b, t)
+        if converged:
+            break
+        # (1 - u^2) P_n'(u) at u = 1 - t, from P_n and P_{n-1}
+        slope = (n * (a - b - c * (1.0 - t)) * pn + 2.0 * (n + a) * (n + b) * pm) / c
+        step = pn * np.sin(theta) / slope
+        theta = theta + step
+        converged = bool(np.all(np.abs(step) <= NEWTON_RTOL * theta))
+    else:
+        raise NumericalError(f"Gauss-Jacobi nodes ({n}, {alpha:g}, {beta:g}) did not converge")
+    wgt = (np.sin(theta) / pm) ** 2
+    u = np.concatenate([-np.cos(theta[1, : n - half]), np.cos(theta[0, ::-1])])
+    wgt = np.concatenate([wgt[1, : n - half], wgt[0, ::-1]])
+    mu0 = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                   + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
+    wgt *= mu0 / np.sum(wgt)
     weight_sq = (1.0 - u) ** (2.0 * alpha) * (1.0 + u) ** (2.0 * beta)
     for arr in (u, wgt, weight_sq):
         arr.flags.writeable = False

@@ -58,9 +58,9 @@ def bumped_well():
     )
 
 
-def full_operator(potential, h, order):
-    """The uncut operator on the whole domain, assembled here as discretize's reference."""
-    L = potential.domain_halfwidth
+def full_operator(potential, h, order, L=None):
+    """The uncut operator on [-L, L] (the whole domain by default), assembled here as discretize's reference."""
+    L = potential.domain_halfwidth if L is None else L
     n_cells = math.ceil(2.0 * L / resolution_bound(potential, h))
     n_cells += n_cells % 2
     x = np.linspace(-L, L, n_cells + 1)[1:-1]
@@ -179,9 +179,37 @@ class TestDomainCut:
             # a quadrature of its own, 200x finer than the grid: slack for its error only
             assert np.sum(steps[side]) >= 0.999 * AGMON_DECAY * h
 
-    def test_short_domain_is_not_cut(self):
-        # at h = 0.9 the quartic's [-3, 3] ends at Agmon distance ~11 h
-        op = discretize(canonical_double_well(), 0.9, order=4)
+    @pytest.mark.parametrize("h", [0.5, 0.9])
+    def test_short_domain_is_grown(self, h):
+        # the quartic's [-3, 3] ends at Agmon distance ~21 h (h = 0.5) and
+        # ~11 h (h = 0.9): the domain doubles to [-6, 6], which is cut at 40 h
+        V = canonical_double_well()
+        op = discretize(V, h, order=4)
+        full = full_operator(V, h, 4, L=6.0)
+        assert op.wall_decay >= AGMON_DECAY
+        assert 3.0 < op.halfwidth < 6.0
+        n, N = len(op.grid), len(full.grid)
+        lo = (N - n) // 2
+        assert np.array_equal(op.grid, full.grid[lo:lo + n])
+        assert (full.matrix[lo:lo + n, lo:lo + n] != op.matrix).nnz == 0
+
+    def test_no_wall_on_any_doubling_is_truncation_error(self):
+        # V = x^2 e^(3 - |x|) confines at |x| = 3 but decays beyond it, so no
+        # doubling of the domain reaches a wall
+        V = Potential(
+            evaluate=lambda x: x**2 * np.exp(3.0 - np.abs(x)),
+            first_derivative=lambda x: (2.0 * x - x * np.abs(x)) * np.exp(3.0 - np.abs(x)),
+            second_derivative=lambda x: (2.0 - 4.0 * np.abs(x) + x**2) * np.exp(3.0 - np.abs(x)),
+            descriptor="leaky",
+            domain_halfwidth=3.0,
+            even=True,
+        )
+        with pytest.raises(TruncationError, match="no Agmon wall"):
+            discretize(V, 0.5, order=2)
+
+    def test_explicit_domain_is_kept(self):
+        # an explicit L is the caller's domain: at h = 0.9 it ends short of 40 h
+        op = discretize(canonical_double_well(), 0.9, L=3.0, order=4)
         full = full_operator(canonical_double_well(), 0.9, 4)
         assert op.halfwidth == 3.0
         assert np.array_equal(op.grid, full.grid)

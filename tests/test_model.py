@@ -1,12 +1,15 @@
 """Spectral model: phase functions, derivatives, families, ladder."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import bisect
 
+import revivalkit
 from revivalkit import model as model_module
 from revivalkit.dynamics import PhaseData
 from revivalkit.errors import DomainError, MonotonicityError, SupportError
@@ -40,13 +43,19 @@ def skewed():
 
 
 def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
-    """Reference root solver: one scipy.optimize.bisect per first bracket hit."""
+    """Reference root solver: one scipy.optimize.bisect per first bracket hit.
+
+    The indices are enumerated as _solve_on does: one k past each end of
+    the sampled range, then every k whose target 2 pi k lies in it.
+    """
     grid = np.linspace(lam_lo, lam_hi, n_grid)
     fv = func(grid)
     lo, hi = min(fv[0], fv[-1]), max(fv[0], fv[-1])
     roots = {}
-    for k in range(math.ceil(lo / TWO_PI), math.floor(hi / TWO_PI) + 1):
+    for k in range(math.ceil(lo / TWO_PI) - 1, math.floor(hi / TWO_PI) + 2):
         target = TWO_PI * k
+        if not lo <= target <= hi:
+            continue
         i = np.nonzero((fv[:-1] - target) * (fv[1:] - target) <= 0.0)[0][0]
         roots[k] = bisect(
             lambda t: float(func(np.array([t]))[0]) - target,
@@ -65,20 +74,20 @@ class TestActionTable:
             assert energies.shape == (model_module.FIT_NODES,)
             return real(potential, energies, side, n)
 
-        class CountedFit(Chebyshev):
-            @classmethod
-            def fit(cls, *args, **kwargs):
-                fits.append(args[1].shape)
-                return Chebyshev.fit(*args, **kwargs)
+        real_interpolant = model_module._interpolant
+
+        def counted_interpolant(values, delta):
+            fits.append(values.shape)
+            return real_interpolant(values, delta)
 
         # looked up on the model module at call time, as the benchmark traces it
         monkeypatch.setattr(model_module, "regularized_action", counted)
-        monkeypatch.setattr(model_module, "Chebyshev", CountedFit)
+        monkeypatch.setattr(model_module, "_interpolant", counted_interpolant)
         monkeypatch.setattr(model_module, "_TABLE_CACHE", {})
         skewed_table = model_module.build_action_table(skewed)
         assert sides == [+1, -1] and len(fits) == 2  # the sum and the difference
         even_table = model_module.build_action_table(quartic)
-        # an even potential makes one least-squares fit and has no difference
+        # an even potential makes one interpolant and has no difference
         assert sides == [+1, -1, +1] and len(fits) == 3 and even_table.diff is None
         for table in (skewed_table.total, skewed_table.diff, even_table.total):
             assert [f.coef.tolist() for f in table[1:]] == [
@@ -86,8 +95,8 @@ class TestActionTable:
             ]
 
     def test_sum_and_difference_fits_match_two_lobe_fits(self, skewed):
-        # the non-even table fits theta_+ +- theta_- instead of adding two
-        # lobe fits: the same phases and roots up to the fits' rounding
+        # the non-even table interpolates theta_+ +- theta_- instead of adding
+        # two lobe interpolants: the same phases and roots up to their rounding
         table = model_module.build_action_table(skewed)
         nodes = table.delta * np.cos(
             (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
@@ -95,16 +104,14 @@ class TestActionTable:
         lobes = []
         for side in (+1, -1):
             vals = model_module.regularized_action(skewed, nodes, side, model_module.QUAD_NODES)
-            fit = Chebyshev.fit(nodes, vals, deg=model_module.FIT_NODES - 1,
-                                domain=[-table.delta, table.delta])
-            lobes.append([fit] + [fit.deriv(k) for k in (1, 2, 3)])
+            lobes.append(model_module._interpolant(vals, table.delta))
         plus, minus = lobes
         new = SpectralModel(skewed, 1e-4)
         old = SpectralModel(skewed, 1e-4)
         old.table = model_module.ActionTable(
             table.delta,
-            tuple(lambda e, p=p, m=m: p(e) + m(e) for p, m in zip(plus, minus)),
-            tuple(lambda e, p=p, m=m: p(e) - m(e) for p, m in zip(plus, minus)),
+            tuple(p + m for p, m in zip(plus, minus)),
+            tuple(p - m for p, m in zip(plus, minus)),
         )
         lam = np.linspace(-20.0, 20.0, 4001)
         for family in ("alpha", "beta"):
@@ -119,6 +126,36 @@ class TestActionTable:
         ):
             assert got.keys() == want.keys()
             assert max(abs(got[k] - want[k]) for k in got) <= ROOT_SUM_DIFF_BOUND
+
+    @pytest.mark.parametrize("well", ["quartic", "skewed"])
+    def test_interpolants_reproduce_the_node_values(self, request, well):
+        potential = request.getfixturevalue(well)
+        table = model_module.build_action_table(potential)
+        nodes = table.delta * np.cos(
+            (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
+        )
+        plus, minus = (model_module.regularized_action(potential, nodes, side, model_module.QUAD_NODES)
+                       for side in (+1, -1))
+        assert np.max(np.abs(table.total[0](nodes) - (plus + minus))) <= 1e-14
+        if table.diff is not None:
+            assert np.max(np.abs(table.diff[0](nodes) - (plus - minus))) <= 1e-14
+
+    def test_model_path_loads_no_scipy(self):
+        # scipy serves the grid oracle alone: import, table and a ladder point stay numpy-only
+        src = os.path.dirname(os.path.dirname(revivalkit.__file__))
+        code = (
+            "import sys, revivalkit\n"
+            "from revivalkit.model import build_action_table, ladder_point\n"
+            "from revivalkit.packet import PacketSpec\n"
+            "from revivalkit.potential import canonical_double_well\n"
+            "build_action_table(canonical_double_well())\n"
+            "ladder_point(canonical_double_well(), PacketSpec(energy=-0.5, gamma=0.3, gamma_prime=0.8, h=1e-8))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPhaseFunctions:
@@ -388,6 +425,7 @@ class TestLadderAndPhaseData:
         func = lambda t: start + slope * (np.asarray(t) + 1.0)
         got = model_1e4._solve_on(func, -1.0, 1.0)
         assert sorted(got) == want
+        assert got == _scalar_solve_on(model_1e4, func, -1.0, 1.0)
         for k in want:
             assert abs(got[k] - ((TWO_PI * k - start) / slope - 1.0)) <= 1e-12
 

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
+from scipy.special import roots_jacobi
 
 import revivalkit
+from revivalkit import potential as potential_module
 from revivalkit import util
 from revivalkit.errors import (
     NonClosingOrbit,
@@ -178,6 +181,48 @@ class TestActions:
         mid = 0.5 * (es[1:] + es[:-1])
         d2 = np.diff(d1) / np.diff(mid)
         assert np.max(np.abs(d2)) < 50.0
+
+# (alpha, beta) of every rule lobe_action uses, and their mirror images
+JACOBI_EXPONENTS = [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.5)]
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("alpha, beta", JACOBI_EXPONENTS)
+    @pytest.mark.parametrize("n", [400, 600, 800])
+    def test_nodes_match_scipy(self, n, alpha, beta):
+        # scipy's Golub-Welsch rule, kept here as the reference
+        u, _, _ = potential_module._jacobi_rule(n, alpha, beta)
+        want, _ = roots_jacobi(n, alpha, beta)
+        assert np.max(np.abs(u - want)) <= 4 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("n", [400, 600, 800, 2000])
+    def test_weights_match_chebyshev_u_rule(self, n):
+        # (1/2, 1/2) is Gauss-Chebyshev of the second kind: u_k = cos(k pi / (n+1)),
+        # w_k = pi / (n+1) sin^2(k pi / (n+1)); sin is taken on the nearer end's angle.
+        # The recurrence's rounding floor is O(n eps) in each weight; scipy's rule is
+        # within 2e-9 at n = 600
+        k = np.arange(1, n + 1)
+        angle = np.minimum(k, n + 1 - k) * np.pi / (n + 1)
+        u, wgt, _ = potential_module._jacobi_rule(n, 0.5, 0.5)
+        assert np.max(np.abs(u - np.cos(k * np.pi / (n + 1))[::-1])) <= 4 * np.spacing(1.0)
+        want = np.pi / (n + 1) * np.sin(angle) ** 2
+        assert np.max(np.abs(wgt / want - 1.0)) <= 16 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("alpha, beta", JACOBI_EXPONENTS)
+    @pytest.mark.parametrize("n", [400, 600, 800, 2000])
+    def test_moments_exact(self, n, alpha, beta):
+        # integral of (1+u)^m (1-u)^alpha (1+u)^beta = 2^(alpha+beta+m+1) B(alpha+1, beta+m+1);
+        # the rule's sums are exact up to their rounding (scipy's rule: 2.7e-13)
+        u, wgt, _ = potential_module._jacobi_rule(n, alpha, beta)
+        for m in range(9):
+            want = float(mpmath.mpf(2) ** (alpha + beta + m + 1) * mpmath.beta(alpha + 1, beta + m + 1))
+            assert abs(np.sum(wgt * (1.0 + u) ** m) / want - 1.0) <= 2e-14, m
+
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(potential_module, "NEWTON_MAXITER", 2)
+        with pytest.raises(NumericalError, match="did not converge"):
+            potential_module._jacobi_rule.__wrapped__(600, 0.5, 0.0)
+
 
 class TestBatchedEnergies:
     @pytest.mark.parametrize("side", [+1, -1])

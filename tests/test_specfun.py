@@ -1,7 +1,5 @@
 """Special-function layer against independent oracles."""
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -37,13 +35,17 @@ def test_arg_gamma_at_half_is_zero():
     assert abs(float(arg_gamma_half_line(0.0))) == 0.0
 
 
-def test_gamma_modulus_identity():
-    # |Gamma(1/2+iy)|^2 = pi / cosh(pi y); checks the loggamma real part
-    from scipy.special import loggamma
+SHIFTED_Y = [0.0, 0.3, -0.3, 3.0, -3.0, 7.0, -7.0, 25.0, -25.0, 1e3, -1e3, 1e6, -1e6, 1e10, -1e10]
 
-    for y in (0.25, 1.0, 3.5):
-        lg = loggamma(0.5 + 1j * y)
-        assert abs(2.0 * lg.real - math.log(math.pi / math.cosh(math.pi * y))) < 1e-12
+
+@pytest.mark.parametrize("y", SHIFTED_Y)
+def test_arg_gamma_and_digamma_against_mpmath(y):
+    # the recurrence shift plus Stirling's series, from the axis to |y| = 1e10
+    z = mpmath.mpc(0.5, y)
+    want = float(mpmath.im(mpmath.loggamma(z)))
+    assert abs(float(arg_gamma_half_line(y)) - want) <= 1e-14 * max(1.0, abs(want))
+    want = complex(mpmath.digamma(z))
+    assert abs(complex(digamma(0.5 + 1j * y)) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_digamma_imag_reflection():

@@ -101,6 +101,7 @@ def _ladder_block(spec: PacketSpec, point, n_samples: int) -> dict:
         **_phase_block(point.phase),
         "a3_bound": point.phase.a3_bound,
         **point.model.root_checks(point.window, point.ladder),
+        "action_table_chop_bound": point.model.table.chop_bound,
         "samples": n_samples,
         "window_counts": [len(point.window.alphas), len(point.window.betas)],
     }
@@ -128,6 +129,7 @@ def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
         "interleaving_violations": interleaving_violations(window),
         "mean_gap_pooled": float(np.mean(np.diff(pooled))) if len(pooled) > 1 else None,
         **model.root_checks(window),
+        "action_table_chop_bound": model.table.chop_bound,
     }
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polyutils
 from numpy.polynomial.chebyshev import Chebyshev, chebval
 
 from . import packet
@@ -26,21 +25,72 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class ActionTable:
-    """Chebyshev interpolants of the regularized lobe actions on [-delta, delta].
+class PanelSeries:
+    """A function and its first three derivatives as local Chebyshev series.
 
-    total[k] and diff[k] are the k-th derivatives (k = 0..3) of the
-    interpolants of theta_+ + theta_- and theta_+ - theta_-; diff is None
-    for an even potential, whose two lobes have one action.
+    Panel j spans [breaks[j], breaks[j+1]], with centre[j] and halfwidth[j];
+    coef[k, d, j] is the k-th coefficient of the order-d derivative on
+    panel j in the panel variable t = (E - centre[j]) / halfwidth[j], and is
+    zero past that series' lengths[d, j] kept terms.
+    """
+
+    breaks: np.ndarray
+    centre: np.ndarray
+    halfwidth: np.ndarray
+    coef: np.ndarray
+    lengths: np.ndarray
+
+    def __call__(self, energy):
+        """The function at energy."""
+        return self._clenshaw(energy, 0)
+
+    def derivatives(self, energy) -> np.ndarray:
+        """Derivatives 1..3 at energy, stacked on a new first axis, in one Clenshaw pass."""
+        return self._clenshaw(energy, slice(1, 4))
+
+    def _clenshaw(self, energy, orders):
+        """One Clenshaw pass as long as the longest series of the panels hit."""
+        energy = np.asarray(energy, dtype=float)
+        # the panel of each point; past either end, the end panel
+        j = np.searchsorted(self.breaks[1:-1], energy, side="right")
+        first = j.flat[0] if j.size else 0
+        if (j == first).all():
+            # one panel (every point at small h): its coefficients broadcast
+            t = (energy - self.centre[first]) / self.halfwidth[first]
+            coef = self.coef[: self.lengths[orders, first].max(), orders, first]
+            # one series runs faster untensored; stacked orders need the outer product
+            return chebval(t, coef, tensor=coef.ndim > 1)
+        t = (energy - self.centre[j]) / self.halfwidth[j]
+        n = self.lengths[orders][..., j].max()
+        return chebval(t, self.coef[:n, orders, j], tensor=False)
+
+
+@dataclass(frozen=True)
+class ActionTable:
+    """The regularized lobe actions on [-delta, delta], as panel series.
+
+    total and diff hold theta_+ + theta_- and theta_+ - theta_- with their
+    first three derivatives; diff is None for an even potential, whose two
+    lobes have one action.  chop_bound is the largest sum of the
+    coefficients dropped from one panel series, relative to the largest
+    sample of its series: a bound on the relative chop error.
     """
 
     delta: float
-    total: tuple[Chebyshev, ...]
-    diff: tuple[Chebyshev, ...] | None
+    total: PanelSeries
+    diff: PanelSeries | None
+    chop_bound: float
 
 
 # energy half-width of the table, Chebyshev nodes, Gauss-Jacobi nodes per action
 ACTION_DELTA, FIT_NODES, QUAD_NODES = 0.1, 160, 600
+# Chebyshev-graded panels (odd, so that E = 0 lies inside the middle one),
+# Chebyshev nodes per panel, and per derivative order 0..3 the chop tolerance
+# relative to a series' largest panel coefficient: orders 2-3 are sampled
+# within ~5 rounding steps of their largest value, not ~1, and their panel
+# tails settle up to ~1.5 steps high, so they are cut at 16
+PANELS, PANEL_NODES = 31, 40
+CHOP_TOL = np.finfo(float).eps * np.array([1.0, 1.0, 16.0, 16.0])
 
 _TABLE_CACHE: dict[str, ActionTable] = {}
 
@@ -60,8 +110,88 @@ def _interpolant(values: np.ndarray, delta: float) -> tuple[Chebyshev, ...]:
     return (f,) + tuple(f.deriv(k) for k in (1, 2, 3))
 
 
+def _sample_panels(coef: np.ndarray, centre: np.ndarray, halfwidth: np.ndarray,
+                   t: np.ndarray, delta: float) -> np.ndarray:
+    """sum_k coef[k] T_k(x) at x = (centre + halfwidth t) / delta, per column
+    of coef, panel (centre, halfwidth) and node t: shape (column, panel, node).
+
+    Panels with |centre| < delta / 2 take Clenshaw's recurrence in x.  The
+    outer ones are mirrored to u = |x|, by T_k(-u) = (-1)^k T_k(u), and take
+    Reinsch's form of it in d = 2 (u - 1), which keeps the relative
+    precision of u - 1 near u = 1 because centre - delta is exact there.  In
+    x, Clenshaw's recurrence loses hundreds of rounding steps near x = +-1
+    on the derivative series, whose coefficients grow with k; Reinsch's
+    form near x = 0 loses a few, which would put the panel tails of the
+    difference's slope within a factor 2 of their chop tolerance.
+    """
+    inner = np.abs(centre) < 0.5 * delta
+    out = np.empty((coef.shape[1], len(centre), len(t)))
+    out[:, inner] = chebval((centre[inner, None] + halfwidth[inner, None] * t) / delta, coef)
+    side = np.sign(centre[~inner])
+    d = 2.0 * ((side * centre[~inner] - delta)[:, None] + (side * halfwidth[~inner])[:, None] * t) / delta
+    mirrored = coef[:, :, None, None] * side[:, None] ** np.arange(len(coef))[:, None, None, None]
+    # Clenshaw's b_k = c_k + 2u b_{k+1} - b_{k+2} in r_k = b_k - b_{k+1}:
+    # r_k = c_k + d b_{k+1} + r_{k+1} and b_k = r_k + b_{k+1}
+    b, r = np.zeros((2,) + mirrored.shape[1:-1] + d.shape[-1:])
+    step = np.empty_like(b)
+    for c in mirrored[:0:-1]:
+        np.multiply(d, b, out=step)
+        r += step
+        r += c
+        b += r
+    # the sum b_0 - u b_1 = r_0 - (d / 2) b_1
+    out[:, ~inner] = mirrored[0] + r + 0.5 * d * b
+    return out
+
+
+def _panel_table(delta: float, total: tuple[Chebyshev, ...],
+                 diff: tuple[Chebyshev, ...] | None) -> ActionTable:
+    """Re-expand the interpolants and their derivatives on PANELS panels.
+
+    The breaks are delta cos(pi j / PANELS).  Every series is sampled at
+    PANEL_NODES Chebyshev nodes per panel (_sample_panels), and all panels
+    are interpolated by one DCT-II matrix product.  The product takes each
+    panel's samples less its middle one, which is added back to c0 after:
+    c0 then rounds once, not PANEL_NODES times.  Each panel series of
+    derivative order d is cut after its last coefficient above CHOP_TOL[d]
+    times the largest coefficient of its series on any panel.
+    """
+    series = total + (diff or ())
+    breaks = delta * np.cos(np.pi * np.arange(PANELS, -1, -1) / PANELS)
+    centre, halfwidth = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    k = np.arange(PANEL_NODES)
+    stacked = np.zeros((len(series[0].coef), len(series)))
+    for s, f in enumerate(series):
+        stacked[: len(f.coef), s] = f.coef
+    nodes = np.cos((2 * k + 1) * np.pi / (2 * PANEL_NODES))
+    samples = _sample_panels(stacked, centre, halfwidth, nodes, delta)  # (series, panel, node)
+    middle = samples[..., PANEL_NODES // 2, None]
+    # cos(k theta_j), with k (2j+1) reduced mod 4N so that the angle stays below 2 pi
+    cosines = np.cos(np.outer(2 * k + 1, k) % (4 * PANEL_NODES) * (np.pi / (2 * PANEL_NODES)))
+    coef = (samples - middle) @ cosines * (2.0 / PANEL_NODES)
+    coef[..., 0] = 0.5 * coef[..., 0] + middle[..., 0]
+    size = np.abs(coef)
+    tol = np.tile(CHOP_TOL, len(series) // 4)[:, None, None]
+    above = size > tol * size.max(axis=(1, 2), keepdims=True)
+    lengths = np.max(np.where(above, k + 1, 1), axis=-1)
+    if np.any(above[..., -1]):
+        raise NumericalError(f"an action-table panel needs more than {PANEL_NODES} terms")
+    kept = k < lengths[..., None]
+    sup = np.max(np.abs(samples), axis=(1, 2))
+    dropped = np.sum(np.where(kept, 0.0, size), axis=-1) / sup[:, None]
+    coef = np.where(kept, coef, 0.0)[..., : lengths.max()]
+    coef = np.ascontiguousarray(np.moveaxis(coef, -1, 0))  # (k, series, panel)
+
+    def panels(rows: slice) -> PanelSeries:
+        return PanelSeries(breaks, centre, halfwidth, coef[:, rows], lengths[rows])
+
+    return ActionTable(delta, panels(slice(0, 4)),
+                       None if diff is None else panels(slice(4, 8)), float(np.max(dropped)))
+
+
 def build_action_table(potential: Potential) -> ActionTable:
-    """Sample the regularized actions at Chebyshev nodes on [-delta, delta] and interpolate."""
+    """Sample the regularized actions at Chebyshev nodes on [-delta, delta],
+    interpolate, and re-expand the interpolants on panels."""
     hit = _TABLE_CACHE.get(potential.descriptor)
     if hit is not None:
         return hit
@@ -71,22 +201,13 @@ def build_action_table(potential: Potential) -> ActionTable:
     plus = regularized_action(potential, nodes, +1, QUAD_NODES)
     if potential.even:
         # both lobes carry the same action
-        table = ActionTable(delta, _interpolant(2.0 * plus, delta), None)
+        table = _panel_table(delta, _interpolant(2.0 * plus, delta), None)
     else:
         minus = regularized_action(potential, nodes, -1, QUAD_NODES)
-        table = ActionTable(delta, _interpolant(plus + minus, delta),
-                            _interpolant(plus - minus, delta))
+        table = _panel_table(delta, _interpolant(plus + minus, delta),
+                             _interpolant(plus - minus, delta))
     _TABLE_CACHE[potential.descriptor] = table
     return table
-
-
-def _derivative_values(series: tuple[Chebyshev, ...], energy) -> np.ndarray:
-    """series[1..3] at energy, stacked on a new first axis, in one Clenshaw
-    pass over their zero-padded coefficients (equal to three calls, bit for bit)."""
-    coef = np.zeros((len(series[1].coef), 3))
-    for k in (1, 2, 3):
-        coef[: len(series[k].coef), k - 1] = series[k].coef
-    return chebval(polyutils.mapdomain(energy, series[1].domain, series[1].window), coef)
 
 
 @dataclass(frozen=True)
@@ -165,13 +286,13 @@ class SpectralModel:
     def f_h(self, lam):
         lam = self._check_domain(lam)
         y = self.epsilon_over_h(lam)
-        theta_sum = self.table.total[0](lam * self.h) / (2.0 * self.h)
+        theta_sum = self.table.total(lam * self.h) / (2.0 * self.h)
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
     def _g(self, lam):
         if self.table.diff is None:
             return np.zeros_like(lam)
-        return self.table.diff[0](lam * self.h) / (2.0 * self.h)
+        return self.table.diff(lam * self.h) / (2.0 * self.h)
 
     def _tunneling_angle(self, lam):
         """arccos(cos g / sqrt(1 + e^{2 pi eps/h})), overflow-safe when g = 0."""
@@ -224,7 +345,7 @@ class SpectralModel:
             - 0.5 * (1.0 + q) ** -1.5 * qd[3]
         )
         g = self._g(lam)
-        gd = [d * h ** k / 2.0 for k, d in enumerate(_derivative_values(self.table.diff, lam * h))]
+        gd = [d * h ** k / 2.0 for k, d in enumerate(self.table.diff.derivatives(lam * h))]
         cg, sg = np.cos(g), np.sin(g)
         u = cg * s
         up = -sg * gd[0] * s + cg * sp
@@ -262,7 +383,7 @@ class SpectralModel:
             -np.real(tetragamma(z)) / w**3,
         )
         angle = self._tunneling_angle_derivatives(lam)
-        total = _derivative_values(self.table.total, lam * h)
+        total = self.table.total.derivatives(lam * h)
         out = []
         for k in (1, 2, 3):
             d = -(total[k - 1] * h ** (k - 1) / 2.0) + arg_gamma[k - 1]

@@ -186,6 +186,8 @@ class TestSpectrum:
         # within a few ulps of the phase values at the roots
         assert 0.0 <= want <= 1e-11
         assert block["max_root_resolution_lambda"] == _resolution(m, sets)
+        assert block["action_table_chop_bound"] == m.table.chop_bound
+        assert 0.0 < m.table.chop_bound <= 5e-15
 
 
 class TestPacket:
@@ -302,6 +304,7 @@ def test_ladder_manifest_reports_root_residual_and_a3_bound(tmp_path, command, g
     assert manifest["max_root_residual_rad"] == want
     assert 0.0 <= want <= 1e-11
     assert manifest["max_root_resolution_lambda"] == _resolution(m, sets)
+    assert manifest["action_table_chop_bound"] == m.table.chop_bound > 0.0
 
 
 def _resolution(m, sets):

@@ -7,12 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.optimize import bisect
 
 import revivalkit
 from revivalkit import model as model_module
 from revivalkit.dynamics import PhaseData
-from revivalkit.errors import DomainError, MonotonicityError, SupportError
+from revivalkit.errors import DomainError, MonotonicityError, NumericalError, SupportError
 from revivalkit.model import (
     SpectralModel,
     interleaving_violations,
@@ -27,6 +28,12 @@ TWO_PI = 2.0 * math.pi
 # skewed well, h = 1e-4: the sum/difference table against two lobe fits
 PHASE_SUM_DIFF_BOUND = 5e-11  # rad
 ROOT_SUM_DIFF_BOUND = 5e-12  # in lambda
+# panel table against the global interpolant, per derivative order 0..3,
+# relative to the order's largest value, on a dense grid over [-delta, delta]
+# and at the panel nodes; measured on both wells: 4.0e-16, 4.9e-16, 1.2e-13,
+# 2.4e-13 (sum) and 4.8e-16, 1.7e-14, 3.1e-13, 2.1e-13 (difference, whose slope
+# is small against its coefficients, so its float64 reference is noisier)
+PANEL_BOUND = {"total": (1e-15, 1e-15, 5e-13, 5e-13), "diff": (1e-15, 5e-14, 5e-13, 5e-13)}
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +71,46 @@ def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):
     return roots
 
 
+def _node_values(potential):
+    """theta_+ + theta_- and theta_+ - theta_- (None if even) at the FIT_NODES table nodes."""
+    nodes = model_module.ACTION_DELTA * np.cos(
+        (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
+    )
+    plus = model_module.regularized_action(potential, nodes, +1, model_module.QUAD_NODES)
+    if potential.even:
+        return nodes, 2.0 * plus, None
+    minus = model_module.regularized_action(potential, nodes, -1, model_module.QUAD_NODES)
+    return nodes, plus + minus, plus - minus
+
+
+class _GlobalSeries:
+    """The global degree-159 interpolant and its derivatives, with PanelSeries' calls."""
+
+    def __init__(self, series):
+        self.series = series
+
+    def __call__(self, energy):
+        return self.series[0](energy)
+
+    def derivatives(self, energy):
+        return np.stack([f(energy) for f in self.series[1:]])
+
+
+@pytest.fixture(scope="module")
+def global_tables(quartic, skewed):
+    """Per well: the global interpolants and an ActionTable that evaluates them."""
+    out = {}
+    for potential in (quartic, skewed):
+        _, total, diff = _node_values(potential)
+        delta = model_module.ACTION_DELTA
+        series = (model_module._interpolant(total, delta),
+                  None if diff is None else model_module._interpolant(diff, delta))
+        table = model_module.ActionTable(delta, _GlobalSeries(series[0]),
+                                         None if diff is None else _GlobalSeries(series[1]), 0.0)
+        out[potential.descriptor] = series, table
+    return out
+
+
 class TestActionTable:
     def test_one_batched_action_call_per_lobe_side(self, quartic, skewed, monkeypatch):
         sides, fits = [], []
@@ -77,8 +124,8 @@ class TestActionTable:
         real_interpolant = model_module._interpolant
 
         def counted_interpolant(values, delta):
-            fits.append(values.shape)
-            return real_interpolant(values, delta)
+            fits.append(real_interpolant(values, delta))
+            return fits[-1]
 
         # looked up on the model module at call time, as the benchmark traces it
         monkeypatch.setattr(model_module, "regularized_action", counted)
@@ -89,18 +136,29 @@ class TestActionTable:
         even_table = model_module.build_action_table(quartic)
         # an even potential makes one interpolant and has no difference
         assert sides == [+1, -1, +1] and len(fits) == 3 and even_table.diff is None
-        for table in (skewed_table.total, skewed_table.diff, even_table.total):
-            assert [f.coef.tolist() for f in table[1:]] == [
-                table[0].deriv(k).coef.tolist() for k in (1, 2, 3)
+        for series in fits:
+            assert [f.coef.tolist() for f in series[1:]] == [
+                series[0].deriv(k).coef.tolist() for k in (1, 2, 3)
             ]
+        # the panels of every order come from those series: at each panel's
+        # own nodes they agree with them to the table's chop bound and rounding
+        for family, table, series in (("total", skewed_table.total, fits[0]),
+                                      ("diff", skewed_table.diff, fits[1]),
+                                      ("total", even_table.total, fits[2])):
+            n = model_module.PANEL_NODES
+            t = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+            nodes = (table.centre[:, None] + table.halfwidth[:, None] * t).ravel()
+            got = np.vstack([table(nodes)[None], table.derivatives(nodes)])
+            for order, f in enumerate(series):
+                want = f(nodes)
+                bound = PANEL_BOUND[family][order] * np.max(np.abs(want))
+                assert np.max(np.abs(got[order] - want)) <= bound
 
     def test_sum_and_difference_fits_match_two_lobe_fits(self, skewed):
         # the non-even table interpolates theta_+ +- theta_- instead of adding
         # two lobe interpolants: the same phases and roots up to their rounding
         table = model_module.build_action_table(skewed)
-        nodes = table.delta * np.cos(
-            (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
-        )
+        nodes, _, _ = _node_values(skewed)
         lobes = []
         for side in (+1, -1):
             vals = model_module.regularized_action(skewed, nodes, side, model_module.QUAD_NODES)
@@ -108,7 +166,7 @@ class TestActionTable:
         plus, minus = lobes
         new = SpectralModel(skewed, 1e-4)
         old = SpectralModel(skewed, 1e-4)
-        old.table = model_module.ActionTable(
+        old.table = model_module._panel_table(
             table.delta,
             tuple(p + m for p, m in zip(plus, minus)),
             tuple(p - m for p, m in zip(plus, minus)),
@@ -128,17 +186,15 @@ class TestActionTable:
             assert max(abs(got[k] - want[k]) for k in got) <= ROOT_SUM_DIFF_BOUND
 
     @pytest.mark.parametrize("well", ["quartic", "skewed"])
-    def test_interpolants_reproduce_the_node_values(self, request, well):
+    def test_interpolants_reproduce_the_node_values(self, request, well, global_tables):
+        # the global interpolants, and the panels re-expanded from them
         potential = request.getfixturevalue(well)
-        table = model_module.build_action_table(potential)
-        nodes = table.delta * np.cos(
-            (2 * np.arange(model_module.FIT_NODES) + 1) * np.pi / (2 * model_module.FIT_NODES)
-        )
-        plus, minus = (model_module.regularized_action(potential, nodes, side, model_module.QUAD_NODES)
-                       for side in (+1, -1))
-        assert np.max(np.abs(table.total[0](nodes) - (plus + minus))) <= 1e-14
-        if table.diff is not None:
-            assert np.max(np.abs(table.diff[0](nodes) - (plus - minus))) <= 1e-14
+        nodes, total, diff = _node_values(potential)
+        for table in (model_module.build_action_table(potential),
+                      global_tables[potential.descriptor][1]):
+            assert np.max(np.abs(table.total(nodes) - total)) <= 1e-14
+            if diff is not None:
+                assert np.max(np.abs(table.diff(nodes) - diff)) <= 1e-14
 
     def test_model_path_loads_no_scipy(self):
         # scipy serves the grid oracle alone: import, table and a ladder point stay numpy-only
@@ -158,10 +214,106 @@ class TestActionTable:
         assert out.strip() == "[]"
 
 
+class TestPanelTable:
+    @pytest.mark.parametrize("well", ["quartic", "skewed"])
+    def test_panels_match_the_global_interpolant(self, request, well, global_tables):
+        potential = request.getfixturevalue(well)
+        table = model_module.build_action_table(potential)
+        series, _ = global_tables[potential.descriptor]
+        delta = table.delta
+        energy = np.concatenate([np.linspace(-delta, delta, 20001), [0.0, 1e-12, -1e-12],
+                                 table.total.breaks])
+        near = np.abs(energy) <= 1e-3
+        for family, panels, glob in (("total", table.total, series[0]),
+                                     ("diff", table.diff, series[1])):
+            if glob is None:
+                continue
+            got = np.vstack([panels(energy)[None], panels.derivatives(energy)])
+            for order, f in enumerate(glob):
+                want = f(energy)
+                err = np.abs(got[order] - want)
+                assert np.max(err) <= PANEL_BOUND[family][order] * np.max(np.abs(want)), (family, order)
+            # near the barrier top, where 1/h magnifies it, each value is within
+            # two ulp of the action sum (4.4e-16), as close as the two float64
+            # Clenshaw passes can agree: each is off the exact interpolant by ~1 ulp
+            ulp = np.spacing(np.abs(series[0][0](energy[near])))
+            assert np.all(np.abs(got[0][near] - glob[0](energy[near])) <= 2.0 * ulp), family
+            # scalar input: the same numbers, shaped like the input
+            for e in (0.0, 1e-12, table.total.breaks[3]):
+                assert panels(e) == panels(np.array([e]))[0]
+                assert panels.derivatives(e).shape == (3,)
+                assert np.array_equal(panels.derivatives(e), panels.derivatives(np.array([e]))[:, 0])
+        # the chop drops a few rounding steps of any series at most (orders
+        # 2-3 are cut at 16 steps of their largest coefficient)
+        assert 0.0 < table.chop_bound <= 5e-15
+
+    def test_build_needs_no_extended_precision(self, quartic, skewed, monkeypatch):
+        # where numpy's longdouble is float64 (MSVC, macOS on arm64) the build is the same
+        tables = [model_module.build_action_table(p) for p in (quartic, skewed)]
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        monkeypatch.setattr(model_module, "_TABLE_CACHE", {})
+        for potential, want in zip((quartic, skewed), tables):
+            got = model_module.build_action_table(potential)
+            assert got is not want
+            for family in ("total", "diff"):
+                a, b = getattr(got, family), getattr(want, family)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.array_equal(a.coef, b.coef) and np.array_equal(a.lengths, b.lengths)
+
+    @pytest.mark.parametrize("well", ["quartic", "skewed"])
+    def test_neighbouring_panels_agree_at_their_breaks(self, request, well):
+        table = model_module.build_action_table(request.getfixturevalue(well))
+        for panels in (table.total, table.diff):
+            if panels is None:
+                continue
+            for order in range(4):
+                coef, lengths = panels.coef[:, order], panels.lengths[order]
+                ends = [(chebval(1.0, coef[: lengths[j], j]), chebval(-1.0, coef[: lengths[j + 1], j + 1]))
+                        for j in range(model_module.PANELS - 1)]
+                scale = np.max(np.abs(coef))
+                assert max(abs(left - right) for left, right in ends) <= 1e-14 * scale
+
+    def test_zero_energy_is_inside_the_middle_panel(self, quartic):
+        breaks = model_module.build_action_table(quartic).total.breaks
+        assert model_module.PANELS % 2 == 1 and len(breaks) == model_module.PANELS + 1
+        mid = model_module.PANELS // 2
+        assert breaks[mid] < 0.0 < breaks[mid + 1]
+        assert not np.any(breaks == 0.0)
+        assert np.all(np.diff(breaks) > 0.0)
+        assert breaks[0] == -model_module.ACTION_DELTA and breaks[-1] == model_module.ACTION_DELTA
+
+    def test_unresolved_panel_is_numerical_error(self, quartic, global_tables, monkeypatch):
+        # too few nodes per panel for the degree-159 interpolant: refused, not chopped
+        series, _ = global_tables[quartic.descriptor]
+        monkeypatch.setattr(model_module, "PANEL_NODES", 16)
+        with pytest.raises(NumericalError):
+            model_module._panel_table(model_module.ACTION_DELTA, series[0], None)
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-8, 1.27e-12])
+    @pytest.mark.parametrize("well", ["quartic", "skewed"])
+    def test_roots_stay_within_the_phase_resolution(self, request, well, h, global_tables):
+        # the panels move each root by at most 3 rounding steps of the phase
+        # (ulp(2 pi k) / |phase'|) from the root of the global interpolant
+        potential = request.getfixturevalue(well)
+        new, old = SpectralModel(potential, h), SpectralModel(potential, h)
+        old.table = global_tables[potential.descriptor][1]
+        spec = PacketSpec(energy=-0.5, gamma=0.3, gamma_prime=0.8, h=h)
+        n_side = math.ceil(RADIUS_FACTOR * spec.width) + 3
+        windows = new.solve_families(), old.solve_families()
+        n0, _ = select_centers(windows[0], spec.energy)
+        ladders = [m.solve_ladder(w.alpha_lambdas[n0], n_side) for m, w in zip((new, old), windows)]
+        resolution = new.root_checks(windows[0], ladders[0])["max_root_resolution_lambda"]
+        for got, want in ((windows[0].alpha_lambdas, windows[1].alpha_lambdas),
+                          (windows[0].beta_lambdas, windows[1].beta_lambdas), ladders):
+            assert got.keys() == want.keys()
+            assert max(abs(got[k] - want[k]) for k in got) <= 3.0 * resolution
+
+
 class TestPhaseFunctions:
     def test_f_at_center_is_action_term_plus_quarter_turn(self, model_1e3):
         # arg Gamma(1/2) = 0 and the log term vanishes at lambda = 0
-        want = -float(model_1e3.table.total[0](0.0)) / (2.0 * model_1e3.h) + 0.5 * math.pi
+        want = -float(model_1e3.table.total(0.0)) / (2.0 * model_1e3.h) + 0.5 * math.pi
         assert abs(float(model_1e3.f_h(0.0)) - want) <= 1e-9 * abs(want)
 
     def test_g_vanishes_for_even_potential(self, model_1e3):

@@ -149,6 +149,9 @@ def _direct_block(h: float, outdir: Path) -> dict:
     residuals = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
     return {
         "count": len(vals),
+        # the grid's two families, beside the model's count_alpha (even) and count_beta (odd)
+        "count_even": spectrum.parities.count("even"),
+        "count_odd": spectrum.parities.count("odd"),
         "grid_points": len(op.grid),
         "dx": op.dx,
         "halfwidth": op.halfwidth,

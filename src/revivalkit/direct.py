@@ -5,6 +5,14 @@ solve: LAPACK tridiagonal bisection at order 2, an inertia-counted
 shift-invert Lanczos solve at order 4.  Serves as the independent
 cross-check of the spectral model.
 
+An even potential's operator commutes with the reflection x -> -x, so its
+window is solved in two half-size blocks, folded in O(n) from the
+operator's bands about the centre node x = 0: the even block (the model's
+alpha family) and the odd block (its beta family).  Each eigenvector is
+mapped back to the grid exactly even or odd.  A potential flagged even
+whose grid operator is not reflection-symmetric to rounding is refused,
+since its blocks would hold the spectrum of a different operator.
+
 The grid is laid on [-L, L] and then cut at the smallest radius R at which,
 on each side, the Agmon distance from the allowed region {V <= h} reaches
 AGMON_DECAY h and V exceeds h + WALL_MARGIN (Agmon, Lectures on exponential
@@ -24,12 +32,15 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .errors import ResolutionError, SolverFailure, TruncationError
+from .errors import ParameterError, ResolutionError, SolverFailure, TruncationError
 from .potential import Potential
 
 WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
 AGMON_DECAY = 40.0  # Agmon distance / h from the allowed region to a cut wall
 MAX_DOUBLINGS = 8  # of the default domain, while a side falls short of its wall
+# an even potential's diagonal may differ from its reversal by this many ulps of
+# max|diag|: the linspace nodes are symmetric only to rounding (the quartic reads <= 5)
+SYMMETRY_ULPS = 32
 
 
 @dataclass(frozen=True)
@@ -191,30 +202,94 @@ def _count_below(mat: sp.spmatrix, shift: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
+def _parity_blocks(op: DiscretizedOperator) -> list[tuple[str, list[np.ndarray]]]:
+    """The bands (diagonal first) of each block the window is solved in, with its parity label.
+
+    An uneven potential has one block, the operator itself, labeled "n/a".
+    For an even potential the grid is folded about its centre node c = m:
+    the even block acts on e_c and (e_{c+j} + e_{c-j}) / sqrt(2), the odd
+    block on (e_{c+j} - e_{c-j}) / sqrt(2), j = 1..m, and each is B^T A B for
+    its basis B.  Each band's right half is averaged with its mirror image;
+    the centre row's couplings carry sqrt(2), and at order 4 row c + 1's
+    diagonal gains +A[c+1, c-1] (even) or -A[c+1, c-1] (odd).
+    """
+    bands = [op.matrix.diagonal(o) for o in range(op.order // 2 + 1)]
+    if not op.potential.even:
+        return [("n/a", bands)]
+    n, c = len(bands[0]), len(bands[0]) // 2
+    asymmetry = max(float(np.max(np.abs(b - b[::-1]), initial=0.0)) for b in bands)
+    bound = SYMMETRY_ULPS * np.spacing(np.max(np.abs(bands[0])))
+    if n % 2 == 0 or asymmetry > bound:
+        raise ParameterError(
+            f"potential {op.potential.descriptor!r} is flagged even, but its grid operator "
+            f"is not reflection-symmetric about a centre node (n={n}, asymmetry {asymmetry:.3g} "
+            f"> {bound:.3g})"
+        )
+    # row c + i couples to c + i + o; its mirror pair is (c - i - o, c - i)
+    even = [0.5 * (b[c:] + b[c - o::-1]) for o, b in enumerate(bands)]
+    odd = [b[1:].copy() for b in even]
+    for b in even[1:]:
+        b[0] *= math.sqrt(2.0)
+    if len(bands) == 3:  # rows c - 1 and c + 1 couple across the centre
+        even[0][1] += bands[2][c - 1]
+        odd[0][0] -= bands[2][c - 1]
+    return [("even", even), ("odd", odd)]
+
+
+def _unfold(parity: str, vecs: np.ndarray, n: int) -> np.ndarray:
+    """Block eigenvectors (columns) as vectors on the n-node grid, exactly even or odd."""
+    if parity == "n/a":
+        return vecs
+    c = n // 2
+    out = np.empty((n, vecs.shape[1]))
+    out[c + 1:] = vecs[len(vecs) - c:] / math.sqrt(2.0)
+    out[:c] = out[:c:-1] if parity == "even" else -out[:c:-1]
+    out[c] = vecs[0] if parity == "even" else 0.0
+    return out
+
+
+def _solve_block(bands: list[np.ndarray], h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs inside [-h, h] of the symmetric banded matrix with these bands."""
+    if len(bands) == 2:
+        return eigh_tridiagonal(bands[0], bands[1], select="v", select_range=(-h, h))
+    m = len(bands[0])
+    mat = sp.diags(bands[:0:-1] + bands, range(1 - len(bands), len(bands)), format="csc")
+    k = _count_below(mat, h) - _count_below(mat, -h)
+    if not k:
+        return np.empty(0), np.empty((m, 0))
+    inv = LinearOperator(mat.shape, splu(mat, permc_spec="NATURAL", panel_size=1).solve, dtype=float)
+    return eigsh(mat, k=k, sigma=0.0, which="LM", v0=_start_vector(m), OPinv=inv)
+
+
 def window_spectrum(op: DiscretizedOperator) -> WindowedSpectrum:
     """Eigenpairs inside the window [-h, h], parity-labeled.
 
+    An even potential's operator commutes with the reflection x -> -x, so
+    its window is solved in the even and odd blocks of _parity_blocks, each
+    about half the grid; every eigenvector is mapped back to the grid exactly
+    even or odd, and takes its block's label.  A potential flagged even
+    whose operator is not reflection-symmetric to SYMMETRY_ULPS of its
+    largest diagonal entry is refused (ParameterError): its blocks would
+    belong to a different operator.  An uneven potential is solved whole.
+
     Order 2 is tridiagonal: bisection and inverse iteration on the window.
-    At order 4 two inertia counts give the window's size k; shift-invert about
-    its midpoint 0, through a band-ordered LU, finds exactly its k eigenvalues.
+    At order 4 two inertia counts give the window's size k in a block;
+    shift-invert about its midpoint 0, through a band-ordered LU, finds
+    exactly its k eigenvalues.
     """
-    mat, h, n = op.matrix, op.h, op.matrix.shape[0]
-    try:
-        if op.order == 2:
-            vals, vecs = eigh_tridiagonal(
-                mat.diagonal(), mat.diagonal(1), select="v", select_range=(-h, h)
-            )
-        else:
-            k = _count_below(mat, h) - _count_below(mat, -h)
-            inv = LinearOperator(mat.shape, splu(mat, permc_spec="NATURAL", panel_size=1).solve, dtype=float)
-            vals, vecs = (eigsh(mat, k=k, sigma=0.0, which="LM", v0=_start_vector(n), OPinv=inv)
-                          if k else (np.empty(0), np.empty((n, 0))))
-    except (ArpackError, ArpackNoConvergence, np.linalg.LinAlgError, RuntimeError) as exc:
-        raise SolverFailure(f"window eigensolve failed: {exc}") from exc
+    h, n = op.h, op.matrix.shape[0]
+    vals, vecs, parities = [], [], []
+    for parity, bands in _parity_blocks(op):
+        try:
+            block_vals, block_vecs = _solve_block(bands, h)
+        except (ArpackError, ArpackNoConvergence, np.linalg.LinAlgError, RuntimeError) as exc:
+            raise SolverFailure(f"window eigensolve failed: {exc}") from exc
+        vals.append(block_vals)
+        vecs.append(_unfold(parity, block_vecs, n))
+        parities += [parity] * len(block_vals)
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
     if np.any(np.abs(vals) > h):
         raise SolverFailure("window eigensolve returned values outside [-h, h]")
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    overlaps = np.einsum("ij,ij->j", vecs, vecs[::-1])  # reflection parity
-    parities = [("even" if o > 0.0 else "odd") if op.potential.even else "n/a" for o in overlaps]
-    return WindowedSpectrum(h=h, eigenvalues=vals, parities=parities, eigenvectors=vecs)
+    return WindowedSpectrum(h=h, eigenvalues=vals[order], parities=[parities[i] for i in order],
+                            eigenvectors=vecs[:, order])

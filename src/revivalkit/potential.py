@@ -145,29 +145,31 @@ def flow_period(
     x0 = float(np.sqrt(h))
     e0 = float(potential.evaluate(x0))
 
-    def step(x: float, xi: float, tau: float) -> tuple[float, float]:
+    def step(x: float, xi: float, force: float, tau: float) -> tuple[float, float, float]:
+        # each drift ends where the next kick starts: V'(x) is evaluated once per drift
         for c in _Y4_COEFFS:
             dtc = c * tau
-            xi -= 0.5 * dtc * grad(x)
+            xi -= 0.5 * dtc * force
             x += dtc * xi
-            xi -= 0.5 * dtc * grad(x)
-        return x, xi
+            force = grad(x)
+            xi -= 0.5 * dtc * force
+        return x, xi, force
 
     def energy_error(x: float, xi: float) -> float:
         return abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
 
-    x, xi, t = x0, 0.0, 0.0
+    x, xi, t, force = x0, 0.0, 0.0, grad(x0)
     max_drift = 0.0
     n_steps = int(np.ceil(max_time / dt))
     for i in range(n_steps):
-        px, pxi, pt = x, xi, t
-        x, xi = step(x, xi, dt)
+        px, pxi, pt, pforce = x, xi, t, force
+        x, xi, force = step(x, xi, force, dt)
         t += dt
         if i % DRIFT_STRIDE == 0:
             max_drift = max(max_drift, energy_error(x, xi))
         if i > 4 and pxi < 0.0 <= xi:
             # xi' = -V'(x); s in [0, 1] is the fraction of the step
-            slope0, slope1 = -dt * grad(px), -dt * grad(x)
+            slope0, slope1 = -dt * pforce, -dt * force
             s = float(bisect_lockstep(
                 lambda s: _hermite(s, pxi, slope0, xi, slope1),
                 np.zeros(1), np.ones(1), np.array([pxi]), np.array([xi]), np.zeros(1),

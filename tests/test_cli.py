@@ -155,6 +155,16 @@ class TestSpectrum:
         assert direct["count"] > 0
         assert 0.0 <= direct["max_relative_residual"] <= 1e-12
 
+    def test_direct_manifest_counts_each_parity(self, tmp_path):
+        args = ["spectrum", "--h", "1e-3", "--backend", "direct"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        direct = json.loads((tmp_path / "manifest.json").read_text())["direct"]
+        rows = (tmp_path / "direct_spectrum.csv").read_text().splitlines()[1:]
+        parities = [row.split(",")[-1] for row in rows]
+        assert direct["count_even"] > 0 and direct["count_odd"] > 0
+        assert direct["count_even"] + direct["count_odd"] == direct["count"] == len(rows)
+        assert (parities.count("even"), parities.count("odd")) == (direct["count_even"], direct["count_odd"])
+
     @pytest.mark.parametrize("h", [1e-2, 1e-4, 0.9])
     def test_direct_manifest_reports_domain_cut(self, tmp_path, h):
         args = ["spectrum", "--h", str(h), "--backend", "direct"]

@@ -1,5 +1,6 @@
 """Grid-discretized operator oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from revivalkit.direct import (
     resolution_bound,
     window_spectrum,
 )
-from revivalkit.errors import ResolutionError, TruncationError
+from revivalkit.errors import ParameterError, ResolutionError, TruncationError
 from revivalkit.potential import Potential, canonical_double_well, harmonic_well
 
 
@@ -314,8 +315,46 @@ class TestDenseReference:
             assert _count_below(op.matrix, shift) == np.count_nonzero(dense < shift), shift
 
     @pytest.mark.parametrize("order", [2, 4])
+    def test_vectors_exactly_even_or_odd(self, order):
+        sp = window_spectrum(discretize(canonical_double_well(), self.H, order=order))
+        assert {"even", "odd"} == set(sp.parities)
+        for vec, parity in zip(sp.eigenvectors.T, sp.parities):
+            assert np.array_equal(vec[::-1], vec if parity == "even" else -vec), parity
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_each_parity_matches_its_dense_block(self, order):
+        op = discretize(canonical_double_well(), self.H, order=order)
+        n = op.matrix.shape[0]
+        c = n // 2
+        # the orthonormal reflection bases: e_c and (e_{c+j} +- e_{c-j}) / sqrt(2)
+        pairs = np.zeros((n, c))
+        pairs[c + 1:] = np.eye(c) / math.sqrt(2.0)
+        mirror = pairs[::-1]
+        centre = np.zeros((n, 1))
+        centre[c] = 1.0
+        bases = {"even": np.hstack([centre, pairs + mirror]), "odd": pairs - mirror}
+        sp = window_spectrum(op)
+        dense = op.matrix.toarray()
+        scale = np.max(np.abs(op.matrix.diagonal()))
+        for parity, basis in bases.items():
+            assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0.0, atol=1e-15)
+            block = np.linalg.eigvalsh(basis.T @ dense @ basis)
+            want = block[np.abs(block) <= self.H]
+            got = sp.eigenvalues[[p == parity for p in sp.parities]]
+            assert len(want) > 0 and len(got) == len(want), parity
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, parity
+
+    def test_false_even_flag_is_parameter_error(self):
+        # the tilted well's values under an even flag: its operator is not reflection-symmetric
+        flagged = dataclasses.replace(tilted_well(), even=True)
+        for order in (2, 4):
+            with pytest.raises(ParameterError, match="not reflection-symmetric"):
+                window_spectrum(discretize(flagged, self.H, order=order))
+
+    @pytest.mark.parametrize("order", [2, 4])
     def test_empty_window(self, order):
-        # levels at 4h (n + 1/2): the lowest, 2h, lies above the window
+        # levels at 4h (n + 1/2): the lowest, 2h, lies above the window; an even
+        # potential, so both of its blocks come back empty
         op = discretize(harmonic_well(omega=4.0), self.H, order=order)
         assert _count_below(op.matrix, self.H) == 0
         sp = window_spectrum(op)

@@ -1,5 +1,7 @@
 """Double-well potential, classical flow, and regularized actions."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -78,7 +80,51 @@ class TestCanonicalWell:
             validate_saddle(harmonic_well())
 
 
+def _two_force_flow(potential, h, dt=1e-3):
+    """flow_period's period and drift with V'(x) evaluated at both ends of every drift."""
+    grad = potential.first_derivative
+    x0 = float(np.sqrt(h))
+    e0 = float(potential.evaluate(x0))
+
+    def energy_error(x, xi):
+        return abs(0.5 * xi * xi + float(potential.evaluate(x)) - e0)
+
+    x, xi, t, drift = x0, 0.0, 0.0, 0.0
+    for i in itertools.count():
+        px, pxi, pt = x, xi, t
+        for c in potential_module._Y4_COEFFS:
+            dtc = c * dt
+            xi -= 0.5 * dtc * grad(x)
+            x += dtc * xi
+            xi -= 0.5 * dtc * grad(x)
+        t += dt
+        if i % potential_module.DRIFT_STRIDE == 0:
+            drift = max(drift, energy_error(x, xi))
+        if i > 4 and pxi < 0.0 <= xi:
+            slope0, slope1 = -dt * grad(px), -dt * grad(x)
+            s = float(bisect_lockstep(
+                lambda s: potential_module._hermite(s, pxi, slope0, xi, slope1),
+                np.zeros(1), np.ones(1), np.array([pxi]), np.array([xi]), np.zeros(1),
+            )[0])
+            return pt + s * dt, max(drift, energy_error(x, xi))
+
+
 class TestFlowPeriod:
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+    def test_one_force_per_drift(self, quartic, h):
+        # three drifts a step, each ending where the next kick starts; the
+        # crossing's Hermite slopes reuse the forces at the step's two ends
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return quartic.first_derivative(x)
+
+        orbit = flow_period(dataclasses.replace(quartic, first_derivative=counted), h)
+        steps = math.floor(orbit.period / 1e-3) + 1
+        assert len(calls) <= 3 * steps + 2
+        assert (orbit.period, orbit.energy_drift) == _two_force_flow(quartic, h)
+
     def test_energy_drift_below_tolerance(self, quartic):
         orbit = flow_period(quartic, 1e-3)
         assert orbit.energy_drift <= 1e-9

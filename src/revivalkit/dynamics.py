@@ -8,7 +8,8 @@ T_rev/T_hyp ratio in rational arithmetic, the test seam for revival
 identities.  The terms are generated by recurrence over consecutive
 offsets, outward from n = 0: at most three exponentials per time,
 x = exp(-2 pi i u), y = exp(-2 pi i v) and y^2, then complex multiplies,
-in memory linear in the number of times.
+in memory linear in the number of times.  A fractional revival's clone
+sum and its shifted order-2 series share u, so one sweep gives both.
 """
 
 from __future__ import annotations
@@ -95,13 +96,8 @@ class PhaseData:
         return cls(a0=a0, a1=a1, a2=a2, ratio_exact=ratio_exact)
 
 
-def _wrap_unit(x: np.ndarray | float):
-    """Reduce modulo 1 into [0, 1)."""
-    return np.asarray(x, dtype=float) % 1.0
-
-
-def _shift_parts(phase: PhaseData, shift_hyp, shift_rev):
-    """Linear and quadratic phase offsets (mod 1) of t -> t + shifts.
+def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
+    """Linear and quadratic phases (mod 1) per unit offset at t + shifts.
 
     shift_hyp counts multiples of T_hyp, shift_rev multiples of T_rev.
     """
@@ -114,11 +110,12 @@ def _shift_parts(phase: PhaseData, shift_hyp, shift_rev):
         r = phase.ratio_exact
         lin = Fraction(shift_hyp) + Fraction(shift_rev) * r
         quad = Fraction(shift_hyp) / r + Fraction(shift_rev)
-        return float(lin - math.floor(lin)), float(quad - math.floor(quad))
-    r = phase.ratio
-    lin = float(shift_hyp) + float(shift_rev) * r
-    quad = float(shift_hyp) / r + float(shift_rev)
-    return float(_wrap_unit(lin)), float(_wrap_unit(quad))
+        lin, quad = float(lin - math.floor(lin)), float(quad - math.floor(quad))
+    else:
+        r = phase.ratio
+        lin = (float(shift_hyp) + float(shift_rev) * r) % 1.0
+        quad = (float(shift_hyp) / r + float(shift_rev)) % 1.0
+    return (t / phase.t_hyp + lin) % 1.0, (t / phase.t_rev + quad) % 1.0
 
 
 def _split(a):
@@ -142,7 +139,7 @@ def _unit_phasor(w):
     and the rounding of 2 pi w, which exp cannot see, is recovered exactly
     (Dekker's product) and applied to first order.
     """
-    w = np.where(w >= 0.5, w - 1.0, w)
+    w = w - (w >= 0.5)
     theta = _TWO_PI * w
     w_hi, w_lo = _split(w)
     err = ((_TWO_PI_HI * w_hi - theta) + _TWO_PI_HI * w_lo + _TWO_PI_HI_LO * w_hi
@@ -150,12 +147,12 @@ def _unit_phasor(w):
     return np.exp(-1j * theta) * (1.0 - 1j * err)
 
 
-# complex terms held at once: a block of samples times both directions'
+# complex terms held at once: a block of samples times every row's
 # offsets (8 MB), so memory stays linear in the samples at any support
 _BLOCK_TERMS = 1 << 19
 
 
-def _weighted_sum(weights, offsets, u, v=None):
+def _weighted_sum(weights, offsets, u, v=None, clone=None):
     """sum_n w_n exp(-2 pi i (u n + v n^2)) at each u (and v), both reduced mod 1.
 
     With x = exp(-2 pi i u) and y = exp(-2 pi i v), the terms
@@ -165,57 +162,69 @@ def _weighted_sum(weights, offsets, u, v=None):
     directions advance together, one block of samples at a time; each
     block's terms are then weighted in one matrix-vector product, with
     zero weight at the integers that are not offsets.
+
+    Given clone weights c_n, the same sweep returns the pair (weighted sum,
+    sum_n c_n x^n): a third row advances x^n beside the two directions, and
+    the downward terms are its conjugates, since the conjugate recurrence
+    reproduces conj(x)^n = conj(x^n) bit for bit.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     u = np.asarray(u, dtype=float)
     v = None if v is None else np.asarray(v, dtype=float)
-    reach = int(np.max(np.abs(offsets)))
-    # ladder[j] holds the weights of +j and -j (offsets are distinct)
-    ladder = np.zeros((reach + 1, 2), dtype=complex)
-    ladder[np.abs(offsets), (offsets < 0).astype(np.intp)] = weights
+    dist, down = np.abs(offsets), offsets < 0
+    reach = int(dist.max())
+    rows = 2 if clone is None else 3
+    # ladder[j] holds the weights of +j and -j (offsets are distinct), 0 on x^n
+    ladder = np.zeros((reach + 1, rows), dtype=complex)
+    ladder[dist, down.astype(np.intp)] = weights
     out = np.full(u.shape, ladder[0, 0], dtype=complex)
-    if reach == 0:
-        return out
-    step = max(1, _BLOCK_TERMS // (2 * reach))
-    for s in range(0, len(u), step):
+    if clone is not None:
+        # the clone's upward weights, and the conjugates of its downward ones
+        clone_ladder = np.zeros((2, reach + 1), dtype=complex)
+        clone_ladder[0, dist[~down]] = clone[~down]
+        clone_ladder[1, dist[down]] = np.conj(clone[down])
+        clone_out = np.full(u.shape, clone_ladder[0, 0], dtype=complex)
+    step = max(1, _BLOCK_TERMS // (rows * max(reach, 1)))
+    # a lone offset at n = 0 has no terms to sweep
+    for s in range(0, len(u) if reach else 0, step):
         block = slice(s, s + step)
         if v is None:
             x = np.exp(-2j * np.pi * u[block])
-            r = np.stack([x, np.conj(x)])
         else:
             x, y = np.exp(-2j * np.pi * np.stack([u[block], v[block]]))
-            r = np.stack([x, np.conj(x)]) * y
+        # the up, down and (with clone weights) x^n rows start at x, conj(x), x
+        r = np.empty((rows, len(x)), dtype=complex)
+        r[::2] = x
+        np.conj(x, out=r[1])
+        if v is not None:
+            r[:2] *= y
             # one row per direction: same-shape products, no broadcasting
-            y2 = np.tile(_unit_phasor((2.0 * v[block]) % 1.0), (2, 1))
+            y2 = np.empty((2, len(x)), dtype=complex)
+            y2[:] = _unit_phasor((2.0 * v[block]) % 1.0)
         z = np.empty((reach,) + r.shape, dtype=complex)
         z[0] = r
         for k in range(1, reach):
             if v is not None:
-                r *= y2
+                r[:2] *= y2
             np.multiply(z[k - 1], r, out=z[k])
-        out[block] += ladder[1:].reshape(-1) @ z.reshape(2 * reach, -1)
-    return out
-
-
-def _order1_phase(phase: PhaseData, t, shift_hyp):
-    """Linear phase (mod 1) per unit offset at t + shift_hyp * T_hyp."""
-    lin_shift, _ = _shift_parts(phase, shift_hyp, 0)
-    return _wrap_unit(t / phase.t_hyp + lin_shift)
+        out[block] += ladder[1:].reshape(-1) @ z.reshape(rows * reach, -1)
+        if clone is not None:
+            xn = z[:, 2]
+            clone_out[block] += clone_ladder[0, 1:] @ xn + np.conj(clone_ladder[1, 1:] @ xn)
+    return out if clone is None else (out, clone_out)
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    u = _order1_phase(phase, t, shift_hyp)
+    u, _ = _phases(phase, t, shift_hyp)
     return _weighted_sum(packet.weights, packet.offsets, u)
 
 
 def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     """Quadratic-phase approximant at t + shift_hyp*T_hyp + shift_rev*T_rev."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    lin_shift, quad_shift = _shift_parts(phase, shift_hyp, shift_rev)
-    u = _wrap_unit(t / phase.t_hyp + lin_shift)
-    v = _wrap_unit(t / phase.t_rev + quad_shift)
+    u, v = _phases(phase, t, shift_hyp, shift_rev)
     return _weighted_sum(packet.weights, packet.offsets, u, v)
 
 
@@ -314,28 +323,22 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
 
     The clone sum is one order-1 sum: exp(-2 pi i (u + k/ell) n) factors
     into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
-    fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), with k n
-    reduced modulo ell in integers.  It and the shifted order-2 series are
-    each evaluated by the offset recurrence of ``_weighted_sum``: x^n (and
-    y^(n^2)) built by multiplication from n = 0 outward, not exponentiated
-    per sample and offset.
+    fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), the length-ell
+    FFT of b~ read at n mod ell.  It shares its linear phase with the
+    shifted order-2 series, so one sweep of ``_weighted_sum`` gives both:
+    x, y and y^2 taken once per sample, and x^n built by multiplication
+    beside the order-2 terms, not exponentiated per sample and offset.
     """
     from .gausssum import coefficients
 
     coeffs = coefficients(p, q, int(packet.center))
-    ell = coeffs.ell
-    base_shift = Fraction(p * phase.n_h, q)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    offs = packet.offsets
-    unit_roots = np.exp(-2j * np.pi * np.arange(ell) / ell)
-    modes = unit_roots[np.outer(np.arange(ell), offs % ell) % ell]
-    weights = packet.weights * (coeffs.phased @ modes)
-    u = _order1_phase(phase, t, base_shift)
-    clone = _weighted_sum(weights, offs, u)
-    shifted = order2_series(packet, phase, t, shift_hyp=base_shift)
-    sup = float(np.max(np.abs(clone - shifted)))
+    u, v = _phases(phase, t, Fraction(p * phase.n_h, q))
+    folded = packet.weights * np.fft.fft(coeffs.phased)[packet.offsets % coeffs.ell]
+    shifted, clone = _weighted_sum(packet.weights, packet.offsets, u, v, clone=folded)
+    sup = float(np.abs(clone - shifted).max())
     return FractionalComparison(
-        p=p, q=q, ell=ell, clone_sum=clone, shifted_order2=shifted,
+        p=p, q=q, ell=coeffs.ell, clone_sum=clone, shifted_order2=shifted,
         sup_difference=sup,
     )
 

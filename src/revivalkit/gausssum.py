@@ -57,20 +57,16 @@ def coefficients(p: int, q: int, n0: int) -> RevivalCoefficients:
 
     b_k is the Hermitian projection of the quadratic phase sequence onto
     the mode exp(-2 pi i k n/ell): the conjugation flips the mode's sign,
-    so b_k = (1/ell) sum_n exp(-2 pi i [(p/q)(n-n0)^2 - k n/ell]).
+    so b_k = (1/ell) sum_n exp(-2 pi i [(p/q)(n-n0)^2 - k n/ell]), the
+    inverse FFT of the sequence over one period, in O(ell) memory.
     b~_k = exp(-2 pi i k n0/ell) b_k recentres the expansion at n0.
     """
     ell = periodicity_set(p, q).generator
-    # common denominator q*ell: the numerators p ell (n - n0)^2 - k n q are
-    # reduced mod q*ell in integers, with n0 first reduced in Python ints
-    # so that no int64 product can overflow at any n0
-    denom = q * ell
+    # p (n - n0)^2 is reduced mod q in integers, with n0 first reduced in
+    # Python ints so that no int64 product can overflow at any n0
     n = np.arange(ell, dtype=np.int64)
-    k = n[:, None]
     d = (n - n0 % q) % q
-    nums = (p % q * ell * (d * d % q) - k * n * q) % denom
-    phases = np.exp(-2j * np.pi * nums.astype(float) / denom)
-    b = phases.sum(axis=1) / ell
+    b = np.fft.ifft(np.exp(-2j * np.pi * (p % q * (d * d % q) % q) / q))
     phased = np.exp(-2j * np.pi * ((n * (n0 % ell)) % ell / ell)) * b
     return RevivalCoefficients(p=p, q=q, n0=n0, ell=ell, values=b, phased=phased)
 

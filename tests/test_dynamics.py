@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +253,71 @@ class TestExactSeries:
         mix = 0.4 * a + 0.6 * b
         assert np.max(np.abs(mix)) <= 1.0 + 1e-12
         assert abs(mix[0] - 1.0) <= 1e-12
+
+
+def _two_sweep_prediction(packet, phase, p, q, t):
+    """The clone sum and the shifted order-2 series as two separate sweeps.
+
+    The clone weights fold through the ell x N table of unit roots, and
+    the clone sum is an order-1 series with those weights.
+    """
+    coeffs = coefficients(p, q, int(packet.center))
+    ell, shift = coeffs.ell, Fraction(p * phase.n_h, q)
+    unit_roots = np.exp(-2j * np.pi * np.arange(ell) / ell)
+    modes = unit_roots[np.outer(np.arange(ell), packet.offsets % ell) % ell]
+    folded = SimpleNamespace(weights=packet.weights * (coeffs.phased @ modes), offsets=packet.offsets)
+    clone = order1_series(folded, phase, t, shift_hyp=shift)
+    shifted = order2_series(packet, phase, t, shift_hyp=shift)
+    return clone, shifted, float(np.max(np.abs(clone - shifted)))
+
+
+def _coprime_pairs(q_max):
+    return [(p, q) for q in range(1, q_max + 1) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+
+
+@pytest.fixture(scope="module")
+def ladder_points(quartic):
+    return [
+        ladder_point(quartic, PacketSpec(energy=energy, gamma=0.3, gamma_prime=0.8, h=h))
+        for h in (1e-4, 1e-8, 1e-12)
+        for energy in (0.5, -0.5)
+    ]
+
+
+class TestSingleSweep:
+    """fractional_prediction's one sweep against the two sweeps it replaces."""
+
+    def test_matches_two_sweeps_on_ladder_packets(self, ladder_points):
+        for point in ladder_points:
+            pk, ph = point.packet, point.phase
+            t = np.linspace(0.0, 2.0 * abs(ph.t_hyp), 512)
+            for p, q in _coprime_pairs(24):
+                cmp = fractional_prediction(pk, ph, p, q, t)
+                clone, shifted, sup = _two_sweep_prediction(pk, ph, p, q, t)
+                assert np.max(np.abs(cmp.clone_sum - clone)) <= 1e-14, (pk.spec.h, p, q)
+                assert np.max(np.abs(cmp.shifted_order2 - shifted)) <= 1e-14, (pk.spec.h, p, q)
+                assert abs(cmp.sup_difference - sup) <= 1e-14, (pk.spec.h, p, q)
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 3)])
+    def test_exact_ratio_clone_identity(self, ladder_points, theta):
+        # an exactly known T_rev/T_hyp at N_h = 2^48 + 1: each clone sum
+        # equals its shifted order-2 series to rounding
+        for point in ladder_points:
+            t_hyp = abs(point.phase.t_hyp)
+            ph = PhaseData.synthetic(t_hyp=t_hyp, n_h=2**48 + 1, theta=theta)
+            t = np.linspace(0.0, 2.0 * t_hyp, 64)
+            for p, q in _coprime_pairs(24):
+                sup = fractional_prediction(point.packet, ph, p, q, t).sup_difference
+                assert sup <= 1e-12, (point.packet.spec.h, p, q, sup)
+
+    def test_single_offset_packet(self, phase):
+        # a lone offset at n = 0 has no terms to sweep
+        pk = SimpleNamespace(weights=np.array([1.0 + 0j]), offsets=np.array([0]), center=7)
+        t = np.linspace(0.0, math.pi, 5)
+        for p, q in ((1, 1), (1, 3), (3, 8)):
+            cmp = fractional_prediction(pk, phase, p, q, t)
+            assert np.all(cmp.shifted_order2 == 1.0)
+            assert np.max(np.abs(cmp.clone_sum - 1.0)) <= 1e-15
 
 
 class TestFractional:

@@ -1,6 +1,7 @@
 """Periodicity lattice and clone coefficients, against the exact-Fraction reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ class TestCoefficients:
                     co = coefficients(p, q, n0)
                     assert np.max(np.abs(co.values - want)) <= 1e-14, (p, q, n0)
                     assert np.max(np.abs(co.phased - shift * want)) <= 1e-14, (p, q, n0)
+
+    @pytest.mark.parametrize("n0", [0, 10**30 + 7])
+    def test_long_period_in_linear_memory(self, n0):
+        # one length-ell FFT: an ell x ell phase table at q = 100 003 would
+        # hold 10^10 entries
+        tracemalloc.start()
+        try:
+            co = coefficients(5, 100_003, n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ell, law = modulus_law(5, 100_003)
+        assert co.ell == ell == 100_003
+        assert np.max(np.abs(co.moduli_squared - law)) <= 1e-12
+        assert abs(np.sum(co.moduli_squared) - 1.0) <= 1e-13
+        assert peak < 64e6
 
     def test_generator_minimal_against_divisors(self):
         for p, q in [(1, 6), (1, 8), (3, 10), (1, 9), (5, 12)]:

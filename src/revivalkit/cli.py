@@ -54,19 +54,12 @@ def _profile(name: str):
         ) from None
 
 
-def _h_values(value) -> list[float]:
-    """h from a flag (number or comma-separated text) or a config value (number or list)."""
-    if isinstance(value, str):
-        items = [tok for tok in value.split(",") if tok.strip()]
-    else:
-        items = value if isinstance(value, list) else [value]
+def _h_values(text: str) -> list[float]:
+    """sweep's comma-separated --h."""
     try:
-        values = [float(v) for v in items]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad h {value!r}: {exc}") from None
-    if not values or any(not 0.0 < v < 1.0 for v in values):
-        raise ConfigError(f"h must lie in (0, 1), got {values}")
-    return values
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad h {text!r}: {exc}") from None
 
 
 def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> PacketSpec:
@@ -473,10 +466,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub_map
 
 
-def _config_defaults(argv: list[str], sub: argparse.ArgumentParser) -> dict:
-    """Config-file values become subcommand defaults; flags override them.
+def _config_tokens(argv: list[str], command: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The config file's entries as the command-line tokens they stand for.
 
     A key must name an option of the subcommand (other than --config itself).
+    An entry whose flag the command line gives is dropped: the flag replaces
+    it.  A switch takes true or false.  A list is read only for the repeated
+    --p and --q (one flag per item) and for sweep's --h (comma-joined); any
+    other value is one number or string, which argparse then checks.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -485,36 +482,46 @@ def _config_defaults(argv: list[str], sub: argparse.ArgumentParser) -> dict:
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
     if path is None:
-        return {}
+        return []
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
-    out = {}
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    tokens = []
     for key, value in payload.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config key {key!r} is not an option of {sub.prog!r}")
-        out[dest] = value
-    return out
+        flag = action.option_strings[0]
+        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
+            continue
+        if isinstance(value, list) and command == "sweep" and action.dest == "h":
+            value = ",".join(map(str, value))
+        repeated = isinstance(action, argparse._AppendAction) and isinstance(value, list)
+        for item in value if repeated else [value]:
+            switch = action.nargs == 0
+            if isinstance(item, bool) != switch or not isinstance(item, (str, int, float)):
+                raise ConfigError(f"config key {key!r} cannot take {item!r}")
+            if not switch:
+                tokens.append(f"{flag}={item}")
+            elif item:
+                tokens.append(flag)
+    return tokens
 
 
 def _normalize(args: argparse.Namespace) -> argparse.Namespace:
-    if args.command == "sweep":
-        args.h_list = _h_values(args.h)
-    elif args.command != "gauss":
-        (args.h,) = _h_values([args.h])
+    if args.command != "gauss":
+        args.h_list = _h_values(args.h) if args.command == "sweep" else [args.h]
+        if not args.h_list or any(not 0.0 < h < 1.0 for h in args.h_list):
+            raise ConfigError(f"h must lie in (0, 1), got {args.h_list}")
     if args.command == "revival":
-        ps = args.p if args.p else [1]
-        qs = args.q if args.q else [2]
-        ps = ps if isinstance(ps, list) else [ps]
-        qs = qs if isinstance(qs, list) else [qs]
+        ps, qs = args.p or [1], args.q or [2]
         if len(ps) != len(qs):
             raise ConfigError("--p and --q must be given the same number of times")
-        args.pq = [(int(p), int(q)) for p, q in zip(ps, qs)]
+        args.pq = list(zip(ps, qs))
     if args.command == "evolve" and not args.periods > 0.0:
         raise ConfigError(f"--periods must be positive, got {args.periods:g}")
     if args.command == "gauss":
@@ -529,7 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command = next((tok for tok in argv if tok in sub_map), None)
         if command is not None:
-            sub_map[command].set_defaults(**_config_defaults(argv, sub_map[command]))
+            at = argv.index(command) + 1
+            argv = argv[:at] + _config_tokens(argv, command, sub_map[command]) + argv[at:]
         args = parser.parse_args(argv)
         args = _normalize(args)
         return args.func(args)

@@ -80,7 +80,6 @@ class PhaseData:
         t_hyp: float,
         n_h: int,
         theta: Fraction | float = Fraction(0),
-        a0: float = 0.0,
     ) -> "PhaseData":
         """Phase data with a prescribed (exact when theta is a Fraction) ratio."""
         if isinstance(theta, Fraction):
@@ -93,7 +92,7 @@ class PhaseData:
             raise ParameterError("theta must lie in [0, 1)")
         a1 = 1.0 / t_hyp
         a2 = 1.0 / (math.pi * ratio * t_hyp)
-        return cls(a0=a0, a1=a1, a2=a2, ratio_exact=ratio_exact)
+        return cls(a0=0.0, a1=a1, a2=a2, ratio_exact=ratio_exact)
 
 
 def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):

@@ -290,23 +290,18 @@ class SpectralModel:
         return -theta_sum + 0.5 * np.pi + y * self.lnh + arg_gamma_half_line(y)
 
     def _g(self, lam):
-        if self.table.diff is None:
-            return np.zeros_like(lam)
         return self.table.diff(lam * self.h) / (2.0 * self.h)
 
     def _tunneling_angle(self, lam):
-        """arccos(cos g / sqrt(1 + e^{2 pi eps/h})), overflow-safe when g = 0."""
+        """arccos(cos g / sqrt(1 + e^{2z})) with z = pi eps/h, taken overflow-safe
+        as atan2(sqrt(e^{2z} + sin^2 g), cos g): the same angle, accurate also
+        where the arccos argument nears +-1.  An even potential has g = 0: arctan(e^z)."""
         lam = np.asarray(lam, dtype=float)
-        z = np.pi * lam / self.w
+        e = np.exp(np.clip(np.pi * lam / self.w, None, 700.0))
         if self.potential.even:
-            # arccos(1/sqrt(1+e^{2z})) = arctan(e^z)
-            return np.arctan(np.exp(np.clip(z, None, 700.0)))
+            return np.arctan(e)
         g = self._g(lam)
-        arg = np.cos(g) / np.sqrt(1.0 + np.exp(2.0 * np.clip(z, None, 350.0)))
-        over = np.abs(arg) - 1.0
-        if np.any(over > 1e-12):
-            raise NumericalError("tunneling-angle argument exceeds 1 by > 1e-12")
-        return np.arccos(np.clip(arg, -1.0, 1.0))
+        return np.arctan2(np.hypot(e, np.sin(g)), np.cos(g))
 
     def y_h(self, lam):
         return self.f_h(lam) - self._tunneling_angle(lam)
@@ -320,7 +315,10 @@ class SpectralModel:
     # -- derivatives -------------------------------------------------------
 
     def _tunneling_angle_derivatives(self, lam):
-        """First three lambda-derivatives of the tunneling angle."""
+        """First three lambda-derivatives of the tunneling angle: in general,
+        _chain through cos(g) and (1 + q)^(-1/2), q = e^{2z}, the product rule
+        for their product u, and _chain through arccos(u), with 1 - u^2 taken
+        without cancellation as (q + sin^2 g) / (1 + q)."""
         c = np.pi / self.w
         if self.potential.even:
             z = c * lam
@@ -332,44 +330,23 @@ class SpectralModel:
                 -0.5 * c**2 * sech * tanh,
                 -0.5 * c**3 * sech * (2.0 * sech**2 - 1.0),
             )
-        # general potentials: chain rule through u = cos(g) * (1+q)^(-1/2)
         h = self.h
         q = np.exp(2.0 * c * lam)
-        qd = [q * (2.0 * c) ** k for k in range(4)]
         s = (1.0 + q) ** -0.5
-        sp = -0.5 * (1.0 + q) ** -1.5 * qd[1]
-        spp = 0.75 * (1.0 + q) ** -2.5 * qd[1] ** 2 - 0.5 * (1.0 + q) ** -1.5 * qd[2]
-        sppp = (
-            -1.875 * (1.0 + q) ** -3.5 * qd[1] ** 3
-            + 2.25 * (1.0 + q) ** -2.5 * qd[1] * qd[2]
-            - 0.5 * (1.0 + q) ** -1.5 * qd[3]
-        )
         g = self._g(lam)
-        gd = [d * h ** k / 2.0 for k, d in enumerate(self.table.diff.derivatives(lam * h))]
         cg, sg = np.cos(g), np.sin(g)
+        gd = [d * h ** k / 2.0 for k, d in enumerate(self.table.diff.derivatives(lam * h))]
+        cd = _chain(gd, (-sg, -cg, sg))
+        sd = _chain([q * (2.0 * c) ** k for k in (1, 2, 3)],
+                    (-0.5 * s**3, 0.75 * s**5, -1.875 * s**7))
         u = cg * s
-        up = -sg * gd[0] * s + cg * sp
-        upp = -cg * gd[0] ** 2 * s - sg * gd[1] * s - 2.0 * sg * gd[0] * sp + cg * spp
-        uppp = (
-            sg * gd[0] ** 3 * s
-            - 3.0 * cg * gd[0] * gd[1] * s
-            - 3.0 * cg * gd[0] ** 2 * sp
-            - sg * gd[2] * s
-            - 3.0 * sg * gd[1] * sp
-            - 3.0 * sg * gd[0] * spp
-            + cg * sppp
-        )
-        om = 1.0 - u * u
+        ud = (cd[0] * s + cg * sd[0],
+              cd[1] * s + 2.0 * cd[0] * sd[0] + cg * sd[1],
+              cd[2] * s + 3.0 * (cd[1] * sd[0] + cd[0] * sd[1]) + cg * sd[2])
+        om = (q + sg * sg) / (1.0 + q)
         if np.any(om < 1e-14):
             raise NumericalError("tunneling angle too close to its endpoint")
-        return (
-            -up * om**-0.5,
-            -upp * om**-0.5 - u * up**2 * om**-1.5,
-            -uppp * om**-0.5
-            - 3.0 * u * up * upp * om**-1.5
-            - up**3 * om**-1.5
-            - 3.0 * u**2 * up**3 * om**-2.5,
-        )
+        return _chain(ud, (-om**-0.5, -u * om**-1.5, -(1.0 + 2.0 * u * u) * om**-2.5))
 
     def _derivatives(self, lam, family: str = "alpha"):
         """First three lambda-derivatives of one family's phase (y_h or z_h)."""
@@ -490,6 +467,13 @@ class SpectralModel:
             np.max(np.abs(-y3[:-1] / y1[:-1]**4 + 3.0 * y2[:-1]**2 / y1[:-1]**5))
         )
         return PhaseData(a0=lam0, a1=a1, a2=a2, a3=a3, a3_bound=a3_bound, curvature_at_root=ypp)
+
+
+def _chain(inner, outer):
+    """Derivatives 1..3 of f(v(x)) by Faa di Bruno's formula, from the
+    derivatives 1..3 of v at x (inner) and of f at v(x) (outer)."""
+    (v1, v2, v3), (f1, f2, f3) = inner, outer
+    return f1 * v1, f2 * v1 * v1 + f1 * v2, f3 * v1**3 + 3.0 * f2 * v1 * v2 + f1 * v3
 
 
 def select_alpha_near(roots: dict[int, float], lam_target: float) -> int:

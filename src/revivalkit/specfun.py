@@ -63,12 +63,6 @@ def _arg_gamma(x, y):
     return out
 
 
-def arg_gamma(z):
-    """Continuous branch of arg Gamma(z) on Re z > 0 (arg Gamma(1/2) = 0)."""
-    z = np.asarray(z, dtype=complex)
-    return _arg_gamma(z.real, z.imag)
-
-
 def digamma(z):
     """Digamma at complex z with Re z > 0: digamma(z + SHIFT) - sum_k 1/(z + k)."""
     z = np.asarray(z, dtype=complex)

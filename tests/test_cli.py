@@ -383,6 +383,43 @@ class TestConfigFile:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["q"] == 5  # explicit flag wins over the file
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["spectrum"], {"backend": "gpu"}),
+         (["gauss"], {"p": 1, "q": 3, "n0": 1.5})],
+        ids=["choice", "type"],
+    )
+    def test_file_values_pass_the_option_checks(self, tmp_path, argv, config):
+        # a file value is parsed as its flag would be: a bad choice or type is a usage error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["revival"], {"E": [0.5]}),
+         (["sweep", "--h", "1e-3"], {"classical": "no"})],
+        ids=["list", "switch"],
+    )
+    def test_list_or_non_boolean_switch_is_config_error(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_replaces_the_file_list(self, tmp_path):
+        # --p/--q append: the file's lists must not be run beside the flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": [1], "q": [3]}))
+        out = tmp_path / "out"
+        assert main(["revival", "--h", "1e-8", "--E", "-0.5", "--config", str(cfg),
+                     "--p", "2", "--q", "5", "--out", str(out)]) == 0
+        assert list(json.loads((out / "manifest.json").read_text())["fractional"]) == ["2/5"]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # a key must name an option of the subcommand itself
         cases = [("gauss", "nonsense"), ("gauss", "fd-order"), ("spectrum", "gamma"),

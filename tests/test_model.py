@@ -1,12 +1,16 @@
 """Spectral model: phase functions, derivatives, families, ladder."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import chebval
 from scipy.optimize import bisect
 
@@ -316,9 +320,18 @@ class TestPhaseFunctions:
         want = -float(model_1e3.table.total(0.0)) / (2.0 * model_1e3.h) + 0.5 * math.pi
         assert abs(float(model_1e3.f_h(0.0)) - want) <= 1e-9 * abs(want)
 
-    def test_g_vanishes_for_even_potential(self, model_1e3):
-        lam = np.linspace(-1, 1, 41)
-        assert np.max(np.abs(model_1e3._g(lam))) == 0.0
+    @pytest.mark.parametrize("g", [1e-9, math.pi - 1e-9, 1e-4])
+    def test_general_angle_near_its_endpoints(self, skewed, monkeypatch, g):
+        # arccos(cos g / sqrt(1 + q)) within ~1e-9 of 0 or pi, where the
+        # arccos of the rounded argument loses ~1e-9 rad
+        m = SpectralModel(skewed, 1e-4)
+        monkeypatch.setattr(m, "_g", lambda lam: np.full_like(lam, g))
+        lam = np.array([-20.0, -8.0, -3.0])
+        with mpmath.workdps(40):
+            for got, t in zip(m._tunneling_angle(lam), lam):
+                q = mpmath.exp(2 * mpmath.pi * mpmath.mpf(t) / m.w)
+                want = mpmath.acos(mpmath.cos(g) / mpmath.sqrt(1 + q))
+                assert abs(mpmath.mpf(float(got)) - want) <= 1e-15, t
 
     def test_tunneling_angle_range(self, model_1e3):
         lam = np.linspace(-1, 1, 81)
@@ -397,6 +410,31 @@ class TestDerivativeConsistency:
                     want = deriv(lam, order)
                     got = fd(lambda t: deriv(t, order - 1))
                     assert abs(got - want) <= 1e-6 * max(abs(want), 0.1), (*where, order)
+
+    def test_general_angle_derivatives_against_mpmath(self, skewed):
+        # a cubic g whose minimum 0.003 lies where q = e^{2z} ~ 2e-8, so that
+        # 1 - u^2 ~ 1e-5: formed as 1 - u*u, it would lose ~1e-12 relative there
+        shift = Polynomial([4.0, 1.0])
+        g = 0.003 + 0.01 * shift**2 + 0.001 * shift**3
+        m = SpectralModel(skewed, 1e-4)
+        h = m.h
+        # the table difference is 2h g(E/h), so its order-k derivative is 2 h^(1-k) g^(k)
+        diff = SimpleNamespace(derivatives=lambda energy: np.array(
+            [2.0 * h ** (1 - k) * g.deriv(k)(energy / h) for k in (1, 2, 3)]))
+        m._g, m.table = g, dataclasses.replace(m.table, diff=diff)
+        lam = np.linspace(-6.0, 3.0, 46)
+        got = m._tunneling_angle_derivatives(lam)
+
+        def angle(t):
+            q = mpmath.exp(2 * mpmath.pi * t / m.w)
+            return mpmath.acos(mpmath.cos(mpmath.polyval(g.coef[::-1].tolist(), t))
+                               / mpmath.sqrt(1 + q))
+
+        with mpmath.workdps(40):
+            for order in (1, 2, 3):
+                want = np.array([float(mpmath.diff(angle, mpmath.mpf(t), order)) for t in lam])
+                err = np.max(np.abs(got[order - 1] - want))
+                assert err <= 2e-14 * np.max(np.abs(want)), order
 
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5

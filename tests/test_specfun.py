@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revivalkit.specfun import (
-    arg_gamma,
     arg_gamma_half_line,
     digamma,
     tetragamma,
@@ -84,5 +83,5 @@ def test_arg_gamma_vectorizes():
 def test_arg_gamma_continuous_branch():
     # no 2*pi jumps across a fine sweep at large |y|
     y = np.linspace(5.0, 40.0, 20001)
-    vals = arg_gamma(0.5 + 1j * y)
+    vals = arg_gamma_half_line(y)
     assert np.max(np.abs(np.diff(vals))) < 0.02

@@ -62,6 +62,11 @@ def _h_values(text: str) -> list[float]:
         raise ConfigError(f"bad h {text!r}: {exc}") from None
 
 
+def _point_dir(h: float) -> str:
+    """The directory that sweep writes the point at h to."""
+    return f"h={h:.3e}"
+
+
 def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> PacketSpec:
     gamma = gamma_default if args.gamma is None else args.gamma
     gamma_prime = (
@@ -127,11 +132,11 @@ def _model_block(model: SpectralModel, window, outdir: Path) -> dict:
 
 
 def _direct_block(h: float, outdir: Path) -> dict:
-    """Solve the grid window (fourth-order stencil), write its CSV; return its manifest block."""
+    """Solve the grid window (order-4 stencil), write its CSV; return its manifest block."""
     # the grid oracle is the one scipy user: the model-only commands never load it
     from .direct import discretize, window_spectrum
 
-    op = discretize(canonical_double_well(), h, order=4)
+    op = discretize(canonical_double_well(), h)
     spectrum = window_spectrum(op)
     write_csv(
         outdir / "direct_spectrum.csv",
@@ -360,7 +365,7 @@ def _slope_fit(x, y) -> dict:
 def cmd_sweep(args) -> int:
     outdir = _out_dir(args, "sweep")
     hs = args.h_list
-    records = [_sweep_point(args, h, outdir / f"h={h:.3e}") for h in hs]
+    records = [_sweep_point(args, h, outdir / _point_dir(h)) for h in hs]
     lnhs = [r["log_scale"] for r in records]
     manifest: dict = {
         "h_list": hs,
@@ -517,6 +522,9 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
         args.h_list = _h_values(args.h) if args.command == "sweep" else [args.h]
         if not args.h_list or any(not 0.0 < h < 1.0 for h in args.h_list):
             raise ConfigError(f"h must lie in (0, 1), got {args.h_list}")
+        names = [_point_dir(h) for h in args.h_list]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"sweep points {args.h_list} share a directory: {names}")
     if args.command == "revival":
         ps, qs = args.p or [1], args.q or [2]
         if len(ps) != len(qs):

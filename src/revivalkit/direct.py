@@ -1,8 +1,8 @@
 """Grid-discretized operator oracle: -(h^2/2) d^2/dx^2 + V on [-R, R].
 
-Dirichlet walls, second- or fourth-order stencils, and a banded window
-solve: LAPACK tridiagonal bisection at order 2, an inertia-counted
-shift-invert Lanczos solve at order 4.  Serves as the independent
+Dirichlet walls, central stencils from one table (STENCILS), and a banded
+window solve: LAPACK bisection for a tridiagonal block, an inertia-counted
+shift-invert Lanczos solve for a wider band.  Serves as the independent
 cross-check of the spectral model.
 
 An even potential's operator commutes with the reflection x -> -x, so its
@@ -13,13 +13,13 @@ mapped back to the grid exactly even or odd.  A potential flagged even
 whose grid operator is not reflection-symmetric to rounding is refused,
 since its blocks would hold the spectrum of a different operator.
 
-The grid is laid on [-L, L] and then cut at the smallest radius R at which,
-on each side, the Agmon distance from the allowed region {V <= h} reaches
-AGMON_DECAY h and V exceeds h + WALL_MARGIN (Agmon, Lectures on exponential
-decay of solutions of second-order elliptic equations, 1982).  Window
-eigenvectors decay like exp(-distance / h), so beyond R they are below
-e^-40 ~ 4e-18 of their peak and the dropped nodes change no window
-eigenpair beyond rounding.
+The grid is laid on the potential's domain [-L, L] and then cut at the
+smallest radius R at which, on each side, the Agmon distance from the
+allowed region {V <= h} reaches AGMON_DECAY h and V exceeds h + WALL_MARGIN
+(Agmon, Lectures on exponential decay of solutions of second-order elliptic
+equations, 1982).  Window eigenvectors decay like exp(-distance / h), so
+beyond R they are below e^-40 ~ 4e-18 of their peak and the dropped nodes
+change no window eigenpair beyond rounding.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ from .potential import Potential
 
 WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
 AGMON_DECAY = 40.0  # Agmon distance / h from the allowed region to a cut wall
-MAX_DOUBLINGS = 8  # of the default domain, while a side falls short of its wall
+MAX_DOUBLINGS = 8  # of the potential's domain, while a side falls short of its wall
 # an even potential's diagonal may differ from its reversal by this many ulps of
 # max|diag|: the linspace nodes are symmetric only to rounding (the quartic reads <= 5)
 SYMMETRY_ULPS = 32
+# order -> (den, weights w_o): band o of -(h^2/2) d^2/dx^2 is w_o k / den, k = h^2 / (2 dx^2)
+STENCILS = {2: (1.0, (2.0, -1.0)), 4: (12.0, (30.0, -16.0, 1.0))}
 
 
 @dataclass(frozen=True)
@@ -65,28 +67,25 @@ def resolution_bound(potential: Potential, h: float) -> float:
 def discretize(
     potential: Potential,
     h: float,
-    L: float | None = None,
     dx: float | None = None,
-    order: int = 2,
+    order: int = 4,
 ) -> DiscretizedOperator:
     """Assemble the symmetric finite-difference operator, cut at an Agmon radius.
 
-    The grid on [-L, L] is built at spacing dx with x = 0 as its centre
-    node.  Each side then takes as its wall the first node at which both
+    The grid on the potential's domain [-L, L] (L = domain_halfwidth) is
+    built at spacing dx with x = 0 as its centre node.  Each side then takes
+    as its wall the first node at which both
       - the Agmon distance, the integral of sqrt(2 max(V - h, 0)) outward
         from the side's outermost node with V <= h, reaches AGMON_DECAY h;
       - V exceeds h + WALL_MARGIN.
     The nodes strictly inside the farther of the two walls are kept, the
     same number on each side, so the matrix is the central principal block
     of the full-domain one and x = 0 stays its centre.  If a side's domain
-    ends first, the default domain (L=None, the potential's
-    domain_halfwidth) is doubled until both sides reach their walls; an
-    explicit L is kept, and its walls stay at -L and L.
+    ends first, L is doubled until both sides reach their walls.
     """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    grow = L is None
-    L = potential.domain_halfwidth if L is None else float(L)
+    if order not in STENCILS:
+        raise ValueError(f"order must be one of {sorted(STENCILS)}")
+    L = potential.domain_halfwidth
     bound = resolution_bound(potential, h)
     dx = bound if dx is None else float(dx)
     if dx > bound * (1.0 + 1e-12):
@@ -108,7 +107,7 @@ def discretize(
         sides = [(np.append(side * x[c::side], L), np.append(v[c::side], potential.evaluate(side * L)))
                  for side in (1, -1)]
         walls, decays, reached = zip(*(_agmon_wall(r, vr, h) for r, vr in sides))
-        if all(reached) or not grow:
+        if all(reached):
             break
         L *= 2.0
     else:
@@ -120,28 +119,12 @@ def discretize(
     x, v = x[c - cut + 1:c + cut].copy(), v[c - cut + 1:c + cut]
     halfwidth = float(sides[0][0][cut])  # |x| of the right-hand wall
     wall_decay = min(float(d[cut]) for d in decays) / h
-    n = len(x)
-    k = h * h / (2.0 * dx * dx)
-    if order == 2:
-        mat = sp.diags(
-            [np.full(n - 1, -k), 2.0 * k + v, np.full(n - 1, -k)],
-            [-1, 0, 1],
-            format="csc",
-        )
-    else:
-        mat = sp.diags(
-            [
-                np.full(n - 2, k / 12.0),
-                np.full(n - 1, -16.0 * k / 12.0),
-                30.0 * k / 12.0 + v,
-                np.full(n - 1, -16.0 * k / 12.0),
-                np.full(n - 2, k / 12.0),
-            ],
-            [-2, -1, 0, 1, 2],
-            format="csc",
-        )
+    n, k = len(x), h * h / (2.0 * dx * dx)
+    den, weights = STENCILS[order]
+    bands = [np.full(n - o, w * k / den) for o, w in enumerate(weights)]
+    bands[0] += v
     return DiscretizedOperator(
-        potential=potential, h=h, grid=x, dx=dx, order=order, matrix=mat,
+        potential=potential, h=h, grid=x, dx=dx, order=order, matrix=_banded(bands),
         halfwidth=halfwidth, wall_decay=wall_decay,
     )
 
@@ -210,8 +193,9 @@ def _parity_blocks(op: DiscretizedOperator) -> list[tuple[str, list[np.ndarray]]
     the even block acts on e_c and (e_{c+j} + e_{c-j}) / sqrt(2), the odd
     block on (e_{c+j} - e_{c-j}) / sqrt(2), j = 1..m, and each is B^T A B for
     its basis B.  Each band's right half is averaged with its mirror image;
-    the centre row's couplings carry sqrt(2), and at order 4 row c + 1's
-    diagonal gains +A[c+1, c-1] (even) or -A[c+1, c-1] (odd).
+    the centre row's couplings carry sqrt(2), and rows c + i and c - i - o
+    (i >= 1), coupled across the centre by band 2i + o, add that coupling's
+    mean with its mirror to band o at block row i (even) or subtract it (odd).
     """
     bands = [op.matrix.diagonal(o) for o in range(op.order // 2 + 1)]
     if not op.potential.even:
@@ -230,9 +214,12 @@ def _parity_blocks(op: DiscretizedOperator) -> list[tuple[str, list[np.ndarray]]
     odd = [b[1:].copy() for b in even]
     for b in even[1:]:
         b[0] *= math.sqrt(2.0)
-    if len(bands) == 3:  # rows c - 1 and c + 1 couple across the centre
-        even[0][1] += bands[2][c - 1]
-        odd[0][0] -= bands[2][c - 1]
+    for i in range(1, len(bands) // 2 + 1):
+        for o in range(len(bands) - 2 * i):
+            across = bands[2 * i + o]
+            mean = 0.5 * (across[c - i - o] + across[c - i])
+            even[o][i] += mean
+            odd[o][i - 1] -= mean
     return [("even", even), ("odd", odd)]
 
 
@@ -248,12 +235,17 @@ def _unfold(parity: str, vecs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _banded(bands: list[np.ndarray]) -> sp.csc_matrix:
+    """The symmetric sparse matrix with these bands, diagonal first."""
+    return sp.diags(bands[:0:-1] + bands, range(1 - len(bands), len(bands)), format="csc")
+
+
 def _solve_block(bands: list[np.ndarray], h: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenpairs inside [-h, h] of the symmetric banded matrix with these bands."""
     if len(bands) == 2:
         return eigh_tridiagonal(bands[0], bands[1], select="v", select_range=(-h, h))
     m = len(bands[0])
-    mat = sp.diags(bands[:0:-1] + bands, range(1 - len(bands), len(bands)), format="csc")
+    mat = _banded(bands)
     k = _count_below(mat, h) - _count_below(mat, -h)
     if not k:
         return np.empty(0), np.empty((m, 0))
@@ -272,10 +264,10 @@ def window_spectrum(op: DiscretizedOperator) -> WindowedSpectrum:
     largest diagonal entry is refused (ParameterError): its blocks would
     belong to a different operator.  An uneven potential is solved whole.
 
-    Order 2 is tridiagonal: bisection and inverse iteration on the window.
-    At order 4 two inertia counts give the window's size k in a block;
-    shift-invert about its midpoint 0, through a band-ordered LU, finds
-    exactly its k eigenvalues.
+    A tridiagonal block (order 2): bisection and inverse iteration on the
+    window.  A wider band: two inertia counts give the window's size k in
+    a block; shift-invert about its midpoint 0, through a band-ordered LU,
+    finds exactly its k eigenvalues.
     """
     h, n = op.h, op.matrix.shape[0]
     vals, vecs, parities = [], [], []

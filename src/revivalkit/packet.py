@@ -155,16 +155,12 @@ def build_coefficients(
 ) -> CoefficientSequence:
     """Evaluate chi((n - center)/width), truncate, and normalize exactly.
 
-    The truncation radius is radius_factor * width.  Counting indices
-    (center >= 0) are clipped to n >= 0; ladder labels may be negative and
-    are kept as-is.
-    When index_set is given the support is intersected with it.
+    The truncation radius is radius_factor * width.  When index_set is
+    given the support is intersected with it.
     """
     width = spec.width
     radius = int(math.ceil(radius_factor * width))
     ns = np.arange(center - radius, center + radius + 1)
-    if center >= 0:
-        ns = ns[ns >= 0]
     if index_set is not None:
         members = np.array(sorted(set(int(i) for i in index_set)))
         ns = ns[np.isin(ns, members)]

@@ -6,6 +6,7 @@ test that demonstrates the same mechanism within reach; the analysis
 lives in each xfail reason and test docstring.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -202,7 +203,7 @@ def test_criterion_7_spectral_structure(quartic):
         # cross-check against the grid oracle
         diffs, gap_rel = [], []
         for h, L in ((1e-3, 3.0), (1e-4, 3.0), (1e-5, 2.2)):
-            op = discretize(quartic, h, L=L, order=4)
+            op = discretize(dataclasses.replace(quartic, domain_halfwidth=L), h, order=4)
             sp = window_spectrum(op)
             w = windows[h]
             model_count = len(w.alphas) + len(w.betas)

@@ -353,6 +353,13 @@ class TestSweep:
         assert (tmp_path / "h=1.000e-03" / "model_spectrum.csv").exists()
         assert (tmp_path / "sweep_summary.csv").exists()
 
+    @pytest.mark.parametrize("hs", ["1e-3,1.0001e-3", "1e-3,1e-3"], ids=["near", "equal"])
+    def test_points_sharing_a_directory_are_config_error(self, tmp_path, capsys, hs):
+        # both points would write h=1.000e-03, the second's CSVs over the first's
+        assert main(["sweep", "--h", hs, "--out", str(tmp_path / "sw")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_window_outputs_match_spectrum(self, tmp_path):
         # sweep and spectrum share one window summary per backend
         grid = ["--backend", "both"]

@@ -11,6 +11,7 @@ from revivalkit.direct import (
     AGMON_DECAY,
     DiscretizedOperator,
     _count_below,
+    _parity_blocks,
     discretize,
     resolution_bound,
     window_spectrum,
@@ -77,6 +78,17 @@ def full_operator(potential, h, order, L=None):
                                halfwidth=L, wall_decay=math.nan)
 
 
+def reflection_bases(n):
+    """Orthonormal reflection bases of an n-node grid: e_c, (e_{c+j} +- e_{c-j}) / sqrt(2)."""
+    c = n // 2
+    pairs = np.zeros((n, c))
+    pairs[c + 1:] = np.eye(c) / math.sqrt(2.0)
+    mirror = pairs[::-1]
+    centre = np.zeros((n, 1))
+    centre[c] = 1.0
+    return {"even": np.hstack([centre, pairs + mirror]), "odd": pairs - mirror}
+
+
 @pytest.fixture(scope="module")
 def op_1e2():
     return discretize(canonical_double_well(), 1e-2, order=4)
@@ -103,14 +115,15 @@ class TestDiscretize:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
-            discretize(canonical_double_well(), 1e-2, L=1.0)
+            discretize(dataclasses.replace(canonical_double_well(), domain_halfwidth=1.0), 1e-2)
 
     def test_harmonic_oracle(self):
         # an omega = 1/4 well puts four levels h omega (n + 1/2) inside [-h, h], to 0.1%
         h, omega = 1e-2, 0.25
         want = h * omega * (np.arange(4) + 0.5)
+        V = dataclasses.replace(harmonic_well(omega=omega), domain_halfwidth=6.0)
         for order in (2, 4):
-            op = discretize(harmonic_well(omega=omega), h, L=6.0, order=order)
+            op = discretize(V, h, order=order)
             vals = window_spectrum(op).eigenvalues
             assert len(vals) == len(want), order
             assert np.max(np.abs(vals - want) / want) <= 1e-3, order
@@ -119,7 +132,7 @@ class TestDiscretize:
         V = canonical_double_well()
         vals = {}
         for L in (3.0, 6.0):
-            op = discretize(V, 1e-2, L=L, dx=1e-3, order=4)
+            op = discretize(dataclasses.replace(V, domain_halfwidth=L), 1e-2, dx=1e-3, order=4)
             vals[L] = window_spectrum(op).eigenvalues
         assert len(vals[3.0]) == len(vals[6.0])
         assert np.max(np.abs(vals[3.0] - vals[6.0])) <= 1e-12
@@ -207,15 +220,6 @@ class TestDomainCut:
         )
         with pytest.raises(TruncationError, match="no Agmon wall"):
             discretize(V, 0.5, order=2)
-
-    def test_explicit_domain_is_kept(self):
-        # an explicit L is the caller's domain: at h = 0.9 it ends short of 40 h
-        op = discretize(canonical_double_well(), 0.9, L=3.0, order=4)
-        full = full_operator(canonical_double_well(), 0.9, 4)
-        assert op.halfwidth == 3.0
-        assert np.array_equal(op.grid, full.grid)
-        assert (op.matrix != full.matrix).nnz == 0
-        assert 10.0 < op.wall_decay < AGMON_DECAY
 
 
 class TestWindowSpectrum:
@@ -324,25 +328,34 @@ class TestDenseReference:
     @pytest.mark.parametrize("order", [2, 4])
     def test_each_parity_matches_its_dense_block(self, order):
         op = discretize(canonical_double_well(), self.H, order=order)
-        n = op.matrix.shape[0]
-        c = n // 2
-        # the orthonormal reflection bases: e_c and (e_{c+j} +- e_{c-j}) / sqrt(2)
-        pairs = np.zeros((n, c))
-        pairs[c + 1:] = np.eye(c) / math.sqrt(2.0)
-        mirror = pairs[::-1]
-        centre = np.zeros((n, 1))
-        centre[c] = 1.0
-        bases = {"even": np.hstack([centre, pairs + mirror]), "odd": pairs - mirror}
         sp = window_spectrum(op)
         dense = op.matrix.toarray()
         scale = np.max(np.abs(op.matrix.diagonal()))
-        for parity, basis in bases.items():
+        for parity, basis in reflection_bases(op.matrix.shape[0]).items():
             assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0.0, atol=1e-15)
             block = np.linalg.eigvalsh(basis.T @ dense @ basis)
             want = block[np.abs(block) <= self.H]
             got = sp.eigenvalues[[p == parity for p in sp.parities]]
             assert len(want) > 0 and len(got) == len(want), parity
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, parity
+
+    def test_wide_band_fold_matches_dense(self):
+        # a bandwidth-4 operator, the 9-point stencil on the quartic's grid: bands 2, 3
+        # and 4 all couple rows across the centre, and each coupling enters the fold
+        op = discretize(canonical_double_well(), self.H)
+        n, k = len(op.grid), self.H**2 / (2.0 * op.dx**2)
+        weights = np.array([14350.0, -8064.0, 1008.0, -128.0, 9.0]) / 5040.0
+        bands = [np.full(n - o, w * k) for o, w in enumerate(weights)]
+        bands[0] += canonical_double_well().evaluate(op.grid)
+        mat = sp.diags(bands[:0:-1] + bands, range(-4, 5), format="csc")
+        op = dataclasses.replace(op, order=8, matrix=mat)
+        scale = np.max(np.abs(bands[0]))
+        bases = reflection_bases(n)
+        for parity, block in _parity_blocks(op):
+            folded = sum(np.diag(b, o) + np.diag(b, -o) for o, b in enumerate(block) if o)
+            folded += np.diag(block[0])
+            want = bases[parity].T @ mat.toarray() @ bases[parity]
+            assert np.max(np.abs(folded - want)) <= 1e-12 * scale, parity
 
     def test_false_even_flag_is_parameter_error(self):
         # the tilted well's values under an even flag: its operator is not reflection-symmetric

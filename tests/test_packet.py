@@ -113,11 +113,6 @@ class TestCoefficients:
         assert errors[-1] <= 1e-6
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
-    def test_nonnegative_counting_indices_are_clipped(self):
-        spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-3)
-        seq = build_coefficients(spec, 2)
-        assert seq.indices.min() >= 0
-
     def test_ladder_labels_not_clipped(self):
         spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-3)
         seq = build_coefficients(spec, -1500)

@@ -15,7 +15,6 @@ from . import __version__
 from .dynamics import (
     default_alpha,
     default_beta,
-    detect_peaks,
     exact_series,
     fractional_prediction,
     order1,
@@ -23,7 +22,7 @@ from .dynamics import (
     order2,
     order2_series,
 )
-from .errors import ConfigError, NumericalFailure, RevivalKitError
+from .errors import ConfigError, RevivalKitError
 from .gausssum import coefficients, modulus_law, periodicity_set
 from .model import SpectralModel, interleaving_violations, ladder_point, select_alpha_near
 from .output import write_csv, write_json, write_plot_script
@@ -43,15 +42,6 @@ def _out_dir(args, command: str) -> Path:
     if env:
         return Path(env) / command
     return Path("runs") / command
-
-
-def _profile(name: str):
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown profile {name!r}; choices: {sorted(PROFILES)}"
-        ) from None
 
 
 def _h_values(text: str) -> list[float]:
@@ -77,7 +67,7 @@ def _packet_spec(args, gamma_default: float, gamma_prime_default: float) -> Pack
         gamma=gamma,
         gamma_prime=gamma_prime,
         h=args.h,
-        chi=_profile(args.chi),
+        chi=PROFILES[args.chi],
     )
 
 
@@ -223,12 +213,9 @@ def cmd_evolve(args) -> int:
     a1 = order1(packet, phase, t, alpha)
     r_exact = exact_series(point.ladder, packet, t)
     a2 = order2_series(packet, phase, t)
-    # the initial state is alpha-family localized, so r(t) equals the
-    # partial autocorrelation a(t); both columns are emitted
     columns = {
         "t_over_thyp": t / t_hyp,
         "c_exact": np.abs(r_exact),
-        "a_abs": np.abs(r_exact),
         "a1_abs": np.abs(a1),
         "a2_abs": np.abs(a2),
     }
@@ -239,21 +226,12 @@ def cmd_evolve(args) -> int:
         ["t"] + list(columns),
         zip(t, *columns.values()),
     )
-    peak_period = None
-    try:
-        peaks = detect_peaks(t, np.abs(a1), threshold=0.5)
-        peak_period = peaks.period_estimate
-        if peak_period is None and len(peaks.times):
-            peak_period = float(peaks.times[0])  # single recurrence seen
-    except NumericalFailure:
-        pass
     manifest = {
         **_ladder_block(spec, point, n_samples),
         "alpha": alpha,
         "center_alpha": packet.center,
         "center_beta": point.center_beta,
         "sup_exact_minus_order1": float(np.max(np.abs(r_exact - a1))),
-        "order1_peak_period": peak_period,
     }
     _write_run(outdir, manifest, f"autocorrelation at h={args.h:g}",
                [("timeseries.csv", "2:3", "exact"), ("timeseries.csv", "2:4", "order 1")])
@@ -325,9 +303,8 @@ def cmd_gauss(args) -> int:
     return 0 if manifest["all_match"] else 3
 
 
-def _sweep_point(args, h: float, outdir: Path) -> dict:
-    potential = canonical_double_well()
-    model = SpectralModel(potential, h)
+def _sweep_point(args, model: SpectralModel, outdir: Path) -> dict:
+    h = model.h
     window = model.solve_families()
     lnh = abs(math.log(h))
     record: dict = {
@@ -344,7 +321,7 @@ def _sweep_point(args, h: float, outdir: Path) -> dict:
     n0 = select_alpha_near(roots, args.E)
     record.update(_phase_block(model.phase_data(roots, n0)))
     if args.classical:
-        orbit = flow_period(potential, h)
+        orbit = flow_period(model.potential, h)
         record["tau_classical"] = orbit.period
         record["energy_drift"] = orbit.energy_drift
     if args.backend in ("direct", "both"):
@@ -365,7 +342,9 @@ def _slope_fit(x, y) -> dict:
 def cmd_sweep(args) -> int:
     outdir = _out_dir(args, "sweep")
     hs = args.h_list
-    records = [_sweep_point(args, h, outdir / _point_dir(h)) for h in hs]
+    # every h is checked against the action table before the first point is written
+    models = [SpectralModel(canonical_double_well(), h) for h in hs]
+    records = [_sweep_point(args, m, outdir / _point_dir(m.h)) for m in models]
     lnhs = [r["log_scale"] for r in records]
     manifest: dict = {
         "h_list": hs,
@@ -413,7 +392,7 @@ def _add_packet(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--E", type=float, default=-0.45)
     sub.add_argument("--gamma", type=float, default=None)
     sub.add_argument("--gamma-prime", dest="gamma_prime", type=float, default=None)
-    sub.add_argument("--chi", default="gaussian")
+    sub.add_argument("--chi", choices=sorted(PROFILES), default="gaussian")
 
 
 def _add_backend(sub: argparse.ArgumentParser) -> None:

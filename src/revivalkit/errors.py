@@ -26,7 +26,7 @@ class DomainError(NumericalFailure):
 
 
 class NumericalError(NumericalFailure):
-    """Internal inconsistency, e.g. an arccos argument beyond 1 + 1e-12."""
+    """Internal inconsistency, e.g. a NaN inside a root bracket or an unconverged rule."""
 
 
 class NonClosingOrbit(NumericalFailure):

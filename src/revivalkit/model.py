@@ -16,7 +16,7 @@ from numpy.polynomial.chebyshev import Chebyshev, chebval
 
 from . import packet
 from .dynamics import PhaseData
-from .errors import DomainError, MonotonicityError, NumericalError, SupportError
+from .errors import DomainError, MonotonicityError, NumericalError, ParameterError, SupportError
 from .potential import Potential, regularized_action, validate_saddle
 from .specfun import arg_gamma_half_line, digamma, tetragamma, trigamma
 from .util import bisect_lockstep
@@ -256,18 +256,20 @@ class SpectralModel:
 
     Evaluations admit any lambda with |lambda * h| <= delta, the energy
     half-width of the action table: the window [-h, h] is lambda in
-    [-1, 1], and the extended ladder beyond it feeds the dynamics.
+    [-1, 1], and the extended ladder beyond it feeds the dynamics.  So h
+    itself must lie in (0, delta], or ParameterError is raised.
     """
 
     def __init__(self, potential: Potential, h: float):
-        if not 0.0 < h < 1.0:
-            raise DomainError(f"h must lie in (0, 1), got {h:g}")
         validate_saddle(potential)
+        self.table = build_action_table(potential)
+        if not 0.0 < h <= self.table.delta:
+            raise ParameterError(f"h must lie in (0, {self.table.delta:g}], the action table's "
+                                 f"half-width, got {h:g}")
         self.potential = potential
         self.h = float(h)
         self.lnh = math.log(h)
         self.w = potential.curvature_scale
-        self.table = build_action_table(potential)
 
     # -- plumbing ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -54,6 +55,7 @@ class TestOptions:
             ["revival", "--parity", "odd"],
             ["gauss", "--h", "1e-3"],
             ["sweep", "--chi", "bump"],
+            ["packet", "--chi", "nope"],  # --chi takes a profile name, as --backend a backend
         ],
         ids=" ".join,
     )
@@ -86,6 +88,19 @@ class TestOptions:
             argv = argv + ["--config", str(cfg)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--h", "0.11"], ["evolve", "--h", "0.2"], ["sweep", "--h", "1e-3,0.2"]],
+        ids=["spectrum", "evolve", "sweep"],
+    )
+    def test_h_beyond_the_action_table_is_parameter_error(self, tmp_path, capsys, argv):
+        # the model needs h <= 0.1, the action table's half-width (the grid alone needs
+        # no table: see test_direct_manifest_reports_domain_cut); sweep builds every
+        # point's model before it writes its first point
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "ParameterError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -232,11 +247,9 @@ class TestEvolve:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["t_hyp"] < 0.0
-        assert manifest["order1_peak_period"] == pytest.approx(
-            abs(manifest["t_hyp"]), rel=0.02
-        )
         header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
-        assert header.split(",")[:5] == ["t", "t_over_thyp", "c_exact", "a_abs", "a1_abs"]
+        assert header.split(",") == ["t", "t_over_thyp", "c_exact", "a1_abs", "a2_abs",
+                                     "closed_form"]
 
     def test_overlong_grid_names_time_scale_error(self, tmp_path, capsys):
         code = main(
@@ -393,8 +406,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, config",
         [(["spectrum"], {"backend": "gpu"}),
+         (["packet"], {"chi": "nope"}),
          (["gauss"], {"p": 1, "q": 3, "n0": 1.5})],
-        ids=["choice", "type"],
+        ids=["choice", "profile", "type"],
     )
     def test_file_values_pass_the_option_checks(self, tmp_path, argv, config):
         # a file value is parsed as its flag would be: a bad choice or type is a usage error
@@ -440,6 +454,31 @@ class TestConfigFile:
             err = capsys.readouterr().err
             assert "ConfigError" in err and key in err
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, drawn",
+    [
+        (["spectrum", "--h", "1e-3"], {"model": ("eigenvalue", "lambda")}),
+        (["spectrum", "--h", "1e-2", "--backend", "direct"], {"direct": ("lambda", "index")}),
+        (["packet", "--h", "1e-4"], {"|a_n|^2": ("offset", "weight")}),
+        (["evolve", "--h", "1e-4"],
+         {"exact": ("t_over_thyp", "c_exact"), "order 1": ("t_over_thyp", "a1_abs")}),
+        (["revival", "--h", "1e-8", "--E", "-0.5"], {"|order-2|": ("t_over_trev", "a2_abs")}),
+        (["sweep", "--h", "1e-3,1e-4"], {"T_hyp vs |ln h|": ("log_scale", "t_hyp")}),
+    ],
+    ids=["spectrum-model", "spectrum-direct", "packet", "evolve", "revival", "sweep"],
+)
+def test_plot_draws_the_columns_its_title_names(tmp_path, argv, drawn):
+    # each clause "'file.csv' using x:y with lines title 'T'" maps x and y to the CSV header
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    script = (tmp_path / "plot.gp").read_text()
+    clauses = re.findall(r"'([^']+)' using (\d+):(\d+) with lines title '([^']*)'", script)
+    got = {}
+    for csv, x, y, title in clauses:
+        header = (tmp_path / csv).read_text().splitlines()[0].split(",")
+        got[title] = (header[int(x) - 1], header[int(y) - 1])
+    assert got == drawn
 
 
 def test_env_var_sets_default_out(tmp_path, monkeypatch):

@@ -17,7 +17,13 @@ from scipy.optimize import bisect
 import revivalkit
 from revivalkit import model as model_module
 from revivalkit.dynamics import PhaseData
-from revivalkit.errors import DomainError, MonotonicityError, NumericalError, SupportError
+from revivalkit.errors import (
+    DomainError,
+    MonotonicityError,
+    NumericalError,
+    ParameterError,
+    SupportError,
+)
 from revivalkit.model import (
     SpectralModel,
     interleaving_violations,
@@ -349,6 +355,13 @@ class TestPhaseFunctions:
     def test_domain_guard(self, model_1e3):
         with pytest.raises(DomainError):
             model_1e3.y_h(np.array([2000.0]))
+
+    @pytest.mark.parametrize("h", [0.11, 0.2, 0.0, -1e-3, float("nan")])
+    def test_h_outside_the_action_table_is_parameter_error(self, quartic, h):
+        # the window [-h, h] lies inside the table's [-delta, delta] only for h <= delta
+        with pytest.raises(ParameterError, match="half-width"):
+            SpectralModel(quartic, h)
+        assert SpectralModel(quartic, 0.1).h == 0.1
 
     def test_slope_dominated_by_log_term(self, model_1e4):
         # leading part ln(h)/sqrt(-V''(0)) = -6.5127 at h = 1e-4, O(1) rest

@@ -5,11 +5,17 @@ sum_n w_n exp(-2 pi i (u n + v n^2)) at each time.  Linear and quadratic
 phases are reduced modulo 1 (offsets are integers), which keeps huge time
 shifts exact; shifts given as Fractions combine with an exactly-known
 T_rev/T_hyp ratio in rational arithmetic, the test seam for revival
-identities.  The terms are generated by recurrence over consecutive
-offsets, outward from n = 0: at most three exponentials per time,
-x = exp(-2 pi i u), y = exp(-2 pi i v) and y^2, then complex multiplies,
-in memory linear in the number of times.  A fractional revival's clone
-sum and its shifted order-2 series share u, so one sweep gives both.
+identities.  On a uniform grid of T times, t[a B + b] = left[a] + right[b]
+with B = ceil(sqrt(T)), and each term factors into its values at the two
+factor times, so terms are generated only at the ~2 sqrt(T) factor samples
+and every sum is one matrix product over the offsets; any other grid is
+one row of T.  The approximants keep each sample's own phases: the split's
+gap from them, a few ulp, enters to first order.  The terms come by
+recurrence over consecutive offsets, outward from n = 0: three
+exponentials per factor sample, x = exp(-2 pi i u), y = exp(-2 pi i v)
+and y^2, then complex multiplies, in memory linear in the factor samples.
+A fractional revival's clone sum and its shifted order-2 series share u,
+so one run gives both.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    NoPeaks,
     ParameterError,
     ProfileError,
     SupportError,
@@ -96,7 +101,7 @@ class PhaseData:
 
 
 def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
-    """Linear and quadratic phases (mod 1) per unit offset at t + shifts.
+    """Linear and quadratic phases (mod 1) per unit offset at t + shifts, as two rows.
 
     shift_hyp counts multiples of T_hyp, shift_rev multiples of T_rev.
     """
@@ -114,7 +119,24 @@ def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
         r = phase.ratio
         lin = (float(shift_hyp) + float(shift_rev) * r) % 1.0
         quad = (float(shift_hyp) / r + float(shift_rev)) % 1.0
-    return (t / phase.t_hyp + lin) % 1.0, (t / phase.t_rev + quad) % 1.0
+    phases = t / np.array([[phase.t_hyp], [phase.t_rev]]) + np.array([[lin], [quad]])
+    # x - floor(x) is x % 1 to the bit, in fewer operations
+    return phases - np.floor(phases)
+
+
+def _row_length(t) -> int:
+    """Length B of the rows that t splits into, t[a B + b] = left[a] + right[b].
+
+    A uniform grid, t[j] = t[0] + j * step to the bit as np.linspace makes
+    it (its last sample is the end point itself), takes B = ceil(sqrt(T)):
+    about 2 sqrt(T) factor samples, left = t[::B] - t[0] and right = t[:B],
+    whose A x B sums cover t row by row and pad the last row.  Any other
+    grid is one row, B = T, with left = 0 and right = t.
+    """
+    n = len(t)
+    if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
+        return math.isqrt(n - 1) + 1
+    return n
 
 
 def _split(a):
@@ -146,85 +168,113 @@ def _unit_phasor(w):
     return np.exp(-1j * theta) * (1.0 - 1j * err)
 
 
-# complex terms held at once: a block of samples times every row's
-# offsets (8 MB), so memory stays linear in the samples at any support
+def _terms(phases, rows: int, reach: int):
+    """Terms for n = 0..reach at each sample, as (reach + 1, rows, samples).
+
+    phases holds u (and v) per sample.  With x = exp(-2 pi i u) and
+    y = exp(-2 pi i v), rows 0 and 1 hold x^n y^(n^2) and conj(x)^n y^(n^2),
+    the terms of +n and -n; rows 2 and 3 (rows = 4) hold x^n and conj(x)^n.
+    The terms are running products z_{n+1} = z_n r_n from z_0 = 1, with
+    ratios r_{n+1} = r_n y^2 from r_0 = x y and conj(x) y (x and conj(x)
+    throughout on rows 2 and 3): three exponentials per sample, then
+    multiplies, each recurrence one accumulate over n.
+    """
+    xy = np.exp(-2j * np.pi * phases)
+    z = np.empty((reach + 1, rows, xy.shape[1]), dtype=complex)
+    z[0] = 1.0
+    ratios = z[1:]
+    ratios[:, ::2] = xy[0]
+    ratios[:, 1::2] = np.conj(xy[0])
+    if len(phases) > 1:
+        ratios[:1, :2] *= xy[1]
+        ratios[1:, :2] = _unit_phasor((2.0 * phases[1]) % 1.0)
+        np.multiply.accumulate(ratios[:, :2], axis=0, out=ratios[:, :2])
+    return np.multiply.accumulate(z, axis=0, out=z)
+
+
+# complex terms held at once: only a grid that is not uniform (its 1 x T
+# split) needs more than one block; 8 MB of terms keeps its memory
+# linear in the samples at any support
 _BLOCK_TERMS = 1 << 19
 
 
-def _weighted_sum(weights, offsets, u, v=None, clone=None):
-    """sum_n w_n exp(-2 pi i (u n + v n^2)) at each u (and v), both reduced mod 1.
+def _weighted_sum(weights, offsets, left, right, clone=None, moments=1):
+    """sum_n n^p w_n exp(-2 pi i (u n + v n^2)), p < moments, at every u = u_a + u_b, v = v_a + v_b.
 
-    With x = exp(-2 pi i u) and y = exp(-2 pi i v), the terms
-    z_n = x^n y^(n^2) run outward from z_0 = 1 by z_{n+1} = z_n r_n and
-    r_{n+1} = r_n y^2, from r_0 = x y going up and conj(x) y going down:
-    three exponentials and O(max |n|) multiplies per sample.  Both
-    directions advance together, one block of samples at a time; each
-    block's terms are then weighted in one matrix-vector product, with
-    zero weight at the integers that are not offsets.
-
-    Given clone weights c_n, the same sweep returns the pair (weighted sum,
-    sum_n c_n x^n): a third row advances x^n beside the two directions, and
-    the downward terms are its conjugates, since the conjugate recurrence
-    reproduces conj(x)^n = conj(x^n) bit for bit.
+    left holds the phases of A factor samples as rows u_a (and v_a),
+    right those of B samples, all reduced mod 1.  Since n and n^2 are
+    integers, every term factors into z_n(u_a, v_a) z_n(u_b, v_b), so
+    ``_terms`` runs once over the A + B factor samples, and each A x B
+    table of sums is one matrix product over the offsets.  Given clone
+    weights c_n, the same run also gives sum_n n^p c_n x^n from its x^n
+    rows.  Returns (1 or 2, moments, A, B): the weighted sum, then the
+    clone sum.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    u = np.asarray(u, dtype=float)
-    v = None if v is None else np.asarray(v, dtype=float)
-    dist, down = np.abs(offsets), offsets < 0
+    dist = np.abs(offsets)
     reach = int(dist.max())
-    rows = 2 if clone is None else 3
-    # ladder[j] holds the weights of +j and -j (offsets are distinct), 0 on x^n
-    ladder = np.zeros((reach + 1, rows), dtype=complex)
-    ladder[dist, down.astype(np.intp)] = weights
-    out = np.full(u.shape, ladder[0, 0], dtype=complex)
-    if clone is not None:
-        # the clone's upward weights, and the conjugates of its downward ones
-        clone_ladder = np.zeros((2, reach + 1), dtype=complex)
-        clone_ladder[0, dist[~down]] = clone[~down]
-        clone_ladder[1, dist[down]] = np.conj(clone[down])
-        clone_out = np.full(u.shape, clone_ladder[0, 0], dtype=complex)
-    step = max(1, _BLOCK_TERMS // (rows * max(reach, 1)))
-    # a lone offset at n = 0 has no terms to sweep
-    for s in range(0, len(u) if reach else 0, step):
-        block = slice(s, s + step)
-        if v is None:
-            x = np.exp(-2j * np.pi * u[block])
-        else:
-            x, y = np.exp(-2j * np.pi * np.stack([u[block], v[block]]))
-        # the up, down and (with clone weights) x^n rows start at x, conj(x), x
-        r = np.empty((rows, len(x)), dtype=complex)
-        r[::2] = x
-        np.conj(x, out=r[1])
-        if v is not None:
-            r[:2] *= y
-            # one row per direction: same-shape products, no broadcasting
-            y2 = np.empty((2, len(x)), dtype=complex)
-            y2[:] = _unit_phasor((2.0 * v[block]) % 1.0)
-        z = np.empty((reach,) + r.shape, dtype=complex)
-        z[0] = r
-        for k in range(1, reach):
-            if v is not None:
-                r[:2] *= y2
-            np.multiply(z[k - 1], r, out=z[k])
-        out[block] += ladder[1:].reshape(-1) @ z.reshape(rows * reach, -1)
-        if clone is not None:
-            xn = z[:, 2]
-            clone_out[block] += clone_ladder[0, 1:] @ xn + np.conj(clone_ladder[1, 1:] @ xn)
-    return out if clone is None else (out, clone_out)
+    sets = [weights] if clone is None else [weights, clone]
+    n_sets, n_left = len(sets), left.shape[1]
+    # ladder[s, p, j] holds set s's weights of +j and -j (offsets are
+    # distinct) times (+j, -j)^p
+    ladder = np.zeros((n_sets, 1, reach + 1, 2), dtype=complex)
+    ladder[:, 0, dist, (offsets < 0).astype(np.intp)] = sets
+    if moments > 1:
+        signed = np.arange(reach + 1)[:, None] * np.array([1, -1])
+        ladder = ladder * signed ** np.arange(moments)[:, None, None]
+    out = np.empty((n_sets, moments, n_left, right.shape[1]), dtype=complex)
+    phases = np.concatenate([left, right], axis=1)
+    # the left factors all come in the first block, and stay
+    step = max(n_left + 1, _BLOCK_TERMS // (2 * n_sets * (reach + 1)))
+    for s in range(0, phases.shape[1], step):
+        z = _terms(phases[:, s : s + step], 2 * n_sets, reach)
+        # each set's own two rows of terms, as (offset, direction) rows
+        z = z.reshape(reach + 1, n_sets, 2, -1).transpose(1, 0, 2, 3)
+        if s == 0:
+            zl, z = z[..., :n_left], z[..., n_left:]
+            # weights times left terms, as (set, moment, (offset, direction), a)
+            lw = (ladder[..., None] * zl[:, None]).reshape(n_sets, moments, 2 * (reach + 1), n_left)
+        b = max(s - n_left, 0)
+        zr = z.reshape(n_sets, 1, 2 * (reach + 1), -1)
+        out[..., b : b + z.shape[3]] = lw.swapaxes(2, 3) @ zr
+    return out
+
+
+def _grid_sum(packet, phase: PhaseData, t, shifts=(0, 0), order=2, clone=None, per_sample=False):
+    """``_weighted_sum`` at every sample of t, through t's factor split.
+
+    The left factors carry the times t[::B] - t[0], the right ones t[:B]
+    and the shifts.  Their phase sums u_a + u_b (and v_a + v_b) are a
+    sample's own phases to rounding, a few ulp of t / T_hyp (and
+    t / T_rev).  With per_sample, each sum is taken at the samples' own
+    phases: the gaps enter to first order through the moments
+    sum_n n w_n z_n (and sum_n n^2 w_n z_n), one more matrix product each.
+    Returns (1 or 2, T): the weighted sum, then with clone weights the
+    clone sum.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    b = _row_length(t)
+    left = _phases(phase, t[::b] - t[0])[:order]
+    right = _phases(phase, t[:b], *shifts)[:order]
+    # one row's sums are the samples' own phases already
+    per_sample = per_sample and b < len(t)
+    sums = _weighted_sum(packet.weights, packet.offsets, left, right, clone, 1 + order if per_sample else 1)
+    sums = sums.reshape(*sums.shape[:2], -1)[..., : len(t)]
+    if not per_sample:
+        return sums[:, 0]
+    gap = _phases(phase, t, *shifts)[:order] - (left[:, :, None] + right[:, None]).reshape(order, -1)[:, : len(t)]
+    gap -= np.round(gap)
+    return sums[:, 0] - 2j * np.pi * np.sum(gap * sums[:, 1:], axis=1)
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, _ = _phases(phase, t, shift_hyp)
-    return _weighted_sum(packet.weights, packet.offsets, u)
+    return _grid_sum(packet, phase, t, (shift_hyp, 0), order=1, per_sample=True)[0]
 
 
 def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     """Quadratic-phase approximant at t + shift_hyp*T_hyp + shift_rev*T_rev."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, v = _phases(phase, t, shift_hyp, shift_rev)
-    return _weighted_sum(packet.weights, packet.offsets, u, v)
+    return _grid_sum(packet, phase, t, (shift_hyp, shift_rev), per_sample=True)[0]
 
 
 def order1(packet, phase: PhaseData, t, alpha: float | None = None):
@@ -298,11 +348,15 @@ def exact_series(eigenvalues: Mapping[int, float], packet, t):
         )
     lam = np.array([eigenvalues[int(n)] for n in packet.indices])
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(len(t), dtype=complex)
-    chunk = max(1, 2_000_000 // max(1, len(lam)))
-    for i in range(0, len(t), chunk):
-        out[i : i + chunk] = np.exp(-1j * np.outer(t[i : i + chunk], lam)) @ packet.weights
-    return out
+    # exp(-i t lambda) = exp(-i t_a lambda) exp(-i t_b lambda) over t's split
+    b = _row_length(t)
+    left, right = t[::b] - t[0], t[:b]
+    scaled = np.exp(-1j * np.outer(left, lam)) * packet.weights
+    out = np.empty((len(left), b), dtype=complex)
+    chunk = max(1, 2_000_000 // len(lam))
+    for i in range(0, b, chunk):
+        out[:, i : i + chunk] = scaled @ np.exp(-1j * np.outer(lam, right[i : i + chunk]))
+    return out.reshape(-1)[: len(t)]
 
 
 @dataclass(frozen=True)
@@ -324,51 +378,19 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
     fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), the length-ell
     FFT of b~ read at n mod ell.  It shares its linear phase with the
-    shifted order-2 series, so one sweep of ``_weighted_sum`` gives both:
-    x, y and y^2 taken once per sample, and x^n built by multiplication
-    beside the order-2 terms, not exponentiated per sample and offset.
+    shifted order-2 series, so one run of ``_weighted_sum`` gives both:
+    x, y and y^2 taken once per factor sample, and x^n built by
+    multiplication beside the order-2 terms, not exponentiated per sample
+    and offset.  Both sums are taken at the split's phases, within a few
+    ulp of t / T_hyp of each sample's own: ~1e-15 over a few T_hyp.
     """
     from .gausssum import coefficients
 
     coeffs = coefficients(p, q, int(packet.center))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, v = _phases(phase, t, Fraction(p * phase.n_h, q))
     folded = packet.weights * np.fft.fft(coeffs.phased)[packet.offsets % coeffs.ell]
-    shifted, clone = _weighted_sum(packet.weights, packet.offsets, u, v, clone=folded)
+    shifted, clone = _grid_sum(packet, phase, t, (Fraction(p * phase.n_h, q), 0), clone=folded)
     sup = float(np.abs(clone - shifted).max())
     return FractionalComparison(
         p=p, q=q, ell=coeffs.ell, clone_sum=clone, shifted_order2=shifted,
         sup_difference=sup,
-    )
-
-
-@dataclass(frozen=True)
-class PeakData:
-    times: np.ndarray
-    heights: np.ndarray
-    period_estimate: float | None
-
-
-def detect_peaks(times, values, threshold: float) -> PeakData:
-    """Local maxima above threshold with parabolic position refinement."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    inner = np.nonzero(
-        (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] >= threshold)
-    )[0] + 1
-    if len(inner) == 0:
-        raise NoPeaks(f"no local maxima above threshold {threshold:g}")
-    peak_t, peak_v = [], []
-    for i in inner:
-        denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
-        offset = 0.0 if denom == 0.0 else 0.5 * (v[i - 1] - v[i + 1]) / denom
-        offset = float(np.clip(offset, -0.5, 0.5))
-        dt = t[i + 1] - t[i] if offset >= 0 else t[i] - t[i - 1]
-        peak_t.append(t[i] + offset * dt)
-        peak_v.append(v[i] - 0.25 * (v[i - 1] - v[i + 1]) * offset)
-    period = None
-    if len(peak_t) >= 2:
-        period = float(np.median(np.diff(peak_t)))
-    return PeakData(
-        times=np.array(peak_t), heights=np.array(peak_v), period_estimate=period
     )

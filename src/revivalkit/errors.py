@@ -73,9 +73,5 @@ class TimeScaleError(ConfigError):
     """Time grid extends beyond the validity window of an approximant."""
 
 
-class NoPeaks(NumericalFailure):
-    """No peaks found above threshold."""
-
-
 class NotCoprime(ConfigError):
     """p and q must be coprime."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,17 @@ class RevivalCoefficients:
     q: int
     n0: int
     ell: int
-    values: np.ndarray
     phased: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """b_k = exp(2 pi i k n0/ell) b~_k, with k n0 reduced in integers.
+
+        n0 is reduced in Python ints first, so that no int64 product can
+        overflow at any n0.
+        """
+        k = np.arange(self.ell, dtype=np.int64)
+        return np.exp(2j * np.pi * ((k * (self.n0 % self.ell)) % self.ell / self.ell)) * self.phased
 
     @property
     def moduli_squared(self) -> np.ndarray:
@@ -57,18 +67,17 @@ def coefficients(p: int, q: int, n0: int) -> RevivalCoefficients:
 
     b_k is the Hermitian projection of the quadratic phase sequence onto
     the mode exp(-2 pi i k n/ell): the conjugation flips the mode's sign,
-    so b_k = (1/ell) sum_n exp(-2 pi i [(p/q)(n-n0)^2 - k n/ell]), the
-    inverse FFT of the sequence over one period, in O(ell) memory.
-    b~_k = exp(-2 pi i k n0/ell) b_k recentres the expansion at n0.
+    so b_k = (1/ell) sum_n exp(-2 pi i [(p/q)(n-n0)^2 - k n/ell]).
+    b~_k = exp(-2 pi i k n0/ell) b_k recentres the expansion at n0, which
+    with m = n - n0 over one period leaves the inverse FFT of
+    exp(-2 pi i (p/q) m^2): b~ does not depend on n0, and b_k is b~_k
+    times a unit phasor.  O(ell) memory.
     """
     ell = periodicity_set(p, q).generator
-    # p (n - n0)^2 is reduced mod q in integers, with n0 first reduced in
-    # Python ints so that no int64 product can overflow at any n0
-    n = np.arange(ell, dtype=np.int64)
-    d = (n - n0 % q) % q
-    b = np.fft.ifft(np.exp(-2j * np.pi * (p % q * (d * d % q) % q) / q))
-    phased = np.exp(-2j * np.pi * ((n * (n0 % ell)) % ell / ell)) * b
-    return RevivalCoefficients(p=p, q=q, n0=n0, ell=ell, values=b, phased=phased)
+    # p m^2 is reduced mod q in integers
+    m = np.arange(ell, dtype=np.int64)
+    phased = np.fft.ifft(np.exp(-2j * np.pi * (p % q * (m * m % q) % q) / q))
+    return RevivalCoefficients(p=p, q=q, n0=n0, ell=ell, phased=phased)
 
 
 def modulus_law(p: int, q: int) -> tuple[int, np.ndarray]:

@@ -60,18 +60,6 @@ def canonical_double_well() -> Potential:
     )
 
 
-def harmonic_well(omega: float = 1.0) -> Potential:
-    """V(x) = omega^2 x^2 / 2.  No barrier top; oracle for the grid solver."""
-    return Potential(
-        evaluate=lambda x: 0.5 * omega**2 * x**2,
-        first_derivative=lambda x: omega**2 * x,
-        second_derivative=lambda x: omega**2 + 0.0 * x,
-        descriptor=f"harmonic(omega={omega:g})",
-        domain_halfwidth=3.0,
-        even=True,
-    )
-
-
 def validate_saddle(potential: Potential, tol: float = 1e-12) -> None:
     """Check the barrier-top normalization V(0)=0, V'(0)=0, V''(0)<0."""
     v0 = float(potential.evaluate(0.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from revivalkit.model import SpectralModel
-from revivalkit.potential import canonical_double_well
+from revivalkit.potential import Potential, canonical_double_well
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,20 @@ def window_1e4(model_1e4):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="session")
+def harmonic_well():
+    """V(x) = omega^2 x^2 / 2 by omega: no barrier top; an oracle for the grid solver."""
+
+    def well(omega: float = 1.0) -> Potential:
+        return Potential(
+            evaluate=lambda x: 0.5 * omega**2 * x**2,
+            first_derivative=lambda x: omega**2 * x,
+            second_derivative=lambda x: omega**2 + 0.0 * x,
+            descriptor=f"harmonic(omega={omega:g})",
+            domain_halfwidth=3.0,
+            even=True,
+        )
+
+    return well

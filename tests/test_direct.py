@@ -17,7 +17,7 @@ from revivalkit.direct import (
     window_spectrum,
 )
 from revivalkit.errors import ParameterError, ResolutionError, TruncationError
-from revivalkit.potential import Potential, canonical_double_well, harmonic_well
+from revivalkit.potential import Potential, canonical_double_well
 
 
 def tilted_well():
@@ -117,7 +117,7 @@ class TestDiscretize:
         with pytest.raises(TruncationError):
             discretize(dataclasses.replace(canonical_double_well(), domain_halfwidth=1.0), 1e-2)
 
-    def test_harmonic_oracle(self):
+    def test_harmonic_oracle(self, harmonic_well):
         # an omega = 1/4 well puts four levels h omega (n + 1/2) inside [-h, h], to 0.1%
         h, omega = 1e-2, 0.25
         want = h * omega * (np.arange(4) + 0.5)
@@ -365,7 +365,7 @@ class TestDenseReference:
                 window_spectrum(discretize(flagged, self.H, order=order))
 
     @pytest.mark.parametrize("order", [2, 4])
-    def test_empty_window(self, order):
+    def test_empty_window(self, order, harmonic_well):
         # levels at 4h (n + 1/2): the lowest, 2h, lies above the window; an even
         # potential, so both of its blocks come back empty
         op = discretize(harmonic_well(omega=4.0), self.H, order=order)
@@ -379,7 +379,8 @@ class TestDenseReference:
 class TestDualBackend:
     def test_peak_structure_matches_model(self, quartic):
         """Window-family packets evolved from both backends recur in step."""
-        from revivalkit.dynamics import detect_peaks, exact_series
+        from peaks import detect_peaks
+        from revivalkit.dynamics import exact_series
         from revivalkit.model import SpectralModel
         from revivalkit.packet import PacketSpec, build_coefficients
 

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peaks import NoPeaks, detect_peaks
+from revivalkit import dynamics
 from revivalkit.dynamics import (
     PhaseData,
+    _row_length,
     _weighted_sum,
     check_time_scale,
     default_alpha,
-    detect_peaks,
     exact_series,
     frac_distance,
     fractional_prediction,
@@ -26,7 +28,6 @@ from revivalkit.dynamics import (
     order2_series,
 )
 from revivalkit.errors import (
-    NoPeaks,
     NotCoprime,
     ParameterError,
     ProfileError,
@@ -193,26 +194,83 @@ def _reference_sum(weights, offsets, u, v=None):
     return np.exp(-2j * np.pi * (phases % 1.0)) @ weights
 
 
+def _random_packet(layout: str, n_offsets: int, rng):
+    offsets = {
+        "centred": np.arange(n_offsets) - n_offsets // 2,
+        "gapped": np.sort(rng.choice(np.arange(-n_offsets, n_offsets + 1), n_offsets, replace=False)),
+        "positive": np.arange(1, n_offsets + 1),
+        "negative": -np.arange(1, n_offsets + 1),
+        "single": np.array([0]),
+    }[layout]
+    weights = rng.standard_normal(len(offsets)) + 1j * rng.standard_normal(len(offsets))
+    return SimpleNamespace(weights=weights / np.sum(np.abs(weights)), offsets=offsets)
+
+
 class TestWeightedSum:
-    """The offset recurrence against the matrix of exponentials it replaces."""
+    """The split recurrence against the matrix of exponentials it replaces."""
 
     @pytest.mark.parametrize("layout", ["centred", "gapped", "positive", "negative"])
     @pytest.mark.parametrize("n_offsets", [1, 2, 41, 201, 401])
     def test_matches_exponential_matrix(self, n_offsets, layout):
+        # a 1 x T split: the left factor at phase 0, the right at each sample's own
         rng = np.random.default_rng(n_offsets)
-        offsets = {
-            "centred": np.arange(n_offsets) - n_offsets // 2,
-            "gapped": np.sort(rng.choice(np.arange(-n_offsets, n_offsets + 1), n_offsets, replace=False)),
-            "positive": np.arange(1, n_offsets + 1),
-            "negative": -np.arange(1, n_offsets + 1),
-        }[layout]
-        weights = rng.standard_normal(n_offsets) + 1j * rng.standard_normal(n_offsets)
-        weights /= np.sum(np.abs(weights))
+        pk = _random_packet(layout, n_offsets, rng)
         u, v = rng.random(97), rng.random(97)
-        err1 = np.abs(_weighted_sum(weights, offsets, u) - _reference_sum(weights, offsets, u))
-        err2 = np.abs(_weighted_sum(weights, offsets, u, v) - _reference_sum(weights, offsets, u, v))
-        assert np.max(err1) <= 1e-13
-        assert np.max(err2) <= 1e-12
+        zero = np.zeros((2, 1))
+        got1 = _weighted_sum(pk.weights, pk.offsets, zero[:1], u[None])[0, 0, 0]
+        got2 = _weighted_sum(pk.weights, pk.offsets, zero, np.stack([u, v]))[0, 0, 0]
+        assert np.max(np.abs(got1 - _reference_sum(pk.weights, pk.offsets, u))) <= 1e-13
+        assert np.max(np.abs(got2 - _reference_sum(pk.weights, pk.offsets, u, v))) <= 1e-12
+
+    @pytest.mark.parametrize("layout", ["centred", "gapped", "positive", "negative", "single"])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 509, 512])
+    def test_uniform_grids_match_exponential_matrix(self, n_samples, layout):
+        # rising, falling and constant grids, on a float ratio and on the
+        # exact N_h = 2^48 + 1, against each sample's own phases
+        rng = np.random.default_rng(n_samples)
+        pk = _random_packet(layout, 41, rng)
+        phases = [
+            PhaseData(a0=0.0, a1=1.0 / 2.7, a2=1.0 / (math.pi * 2.7 * 23.4)),
+            PhaseData.synthetic(t_hyp=2.7, n_h=2**48 + 1, theta=Fraction(1, 3)),
+        ]
+        for ph in phases:
+            for start, stop in ((-1.0, 2.0), (2.0, -1.0), (1.3, 1.3)):
+                t = np.linspace(start, stop, n_samples) * ph.t_hyp
+                u, v = (t / ph.t_hyp) % 1.0, (t / ph.t_rev) % 1.0
+                err1 = np.abs(order1_series(pk, ph, t) - _reference_sum(pk.weights, pk.offsets, u))
+                err2 = np.abs(order2_series(pk, ph, t) - _reference_sum(pk.weights, pk.offsets, u, v))
+                assert np.max(err1) <= 1e-13, (start, stop)
+                assert np.max(err2) <= 1e-12, (start, stop)
+
+    def test_one_ulp_off_uniform_takes_one_row(self, packet, phase):
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        moved = t.copy()
+        moved[300] = np.nextafter(moved[300], np.inf)
+        assert _row_length(t) == 23
+        assert _row_length(moved) == 512
+        for series in (order1_series, order2_series):
+            assert np.max(np.abs(series(packet, phase, moved) - series(packet, phase, t))) <= 1e-14
+
+    @pytest.mark.parametrize("ratio", ["exact", "float"])
+    def test_long_uniform_grid_keeps_each_samples_phases(self, packet, phase, ratio):
+        # at t = 1000 T_hyp the split's phases are ~1e-13 off each sample's
+        # own; the series take the samples' own phases, as one row does
+        if ratio == "float":
+            phase = PhaseData(a0=0.0, a1=1.0 / 2.7, a2=1.0 / (math.pi * 2.7 * 23.4))
+        t = np.linspace(0.0, 1000.0 * abs(phase.t_hyp), 4096)
+        assert _row_length(t) == 64
+        own = np.stack([(t / phase.t_hyp) % 1.0, (t / phase.t_rev) % 1.0])
+        for order, series in ((1, order1_series), (2, order2_series)):
+            one_row = _weighted_sum(packet.weights, packet.offsets, np.zeros((order, 1)), own[:order])
+            assert np.max(np.abs(series(packet, phase, t) - one_row[0, 0, 0])) <= 1e-14, order
+
+    def test_blocks_of_one_row_match_one_block(self, packet, phase, monkeypatch):
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 1000)[::-1] ** 1.5
+        assert _row_length(t) == len(t)
+        whole = order2_series(packet, phase, t)
+        monkeypatch.setattr(dynamics, "_BLOCK_TERMS", 1000)
+        blocks = order2_series(packet, phase, t)
+        assert np.max(np.abs(blocks - whole)) <= 1e-15
 
     def test_long_grid_memory_is_linear_in_samples(self):
         # the 201-offset packet of criterion C3 on 200 000 samples: a T x N
@@ -230,6 +288,23 @@ class TestWeightedSum:
             tracemalloc.stop()
         assert peak < 64e6
 
+    def test_one_row_memory_is_linear_in_samples(self):
+        # the same grid with one sample moved is one row of 200 000 factor
+        # samples, taken in blocks
+        spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-6)
+        pk = build_coefficients(spec, 137, radius_factor=100.0 / spec.width)
+        ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
+        t = np.linspace(0.0, 1000.0 * math.pi, 200_000)
+        t[1] = np.nextafter(t[1], 0.0)
+        assert _row_length(t) == len(t)
+        tracemalloc.start()
+        try:
+            order2_series(pk, ph, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
 
 class TestExactSeries:
     def test_unit_at_zero_and_bounded(self, packet):
@@ -237,6 +312,26 @@ class TestExactSeries:
         r = exact_series(ladder, packet, np.linspace(0, 50, 501))
         assert abs(r[0] - 1.0) <= 1e-12
         assert np.max(np.abs(r)) <= 1.0 + 1e-12
+
+    def test_split_matches_exponential_matrix(self, packet):
+        # a term's split phase t_a lambda + t_b lambda is its t lambda to
+        # rounding: half an ulp of each product and of the matrix's own, and
+        # the grid's t_a + t_b - t, at most 1.5 ulp of t (3 of t lambda)
+        c = packet.center
+        ladder = {int(n): 0.37 * (n - c) + 0.011 * (n - c) ** 2 - 0.45 for n in packet.indices}
+        lam = np.array([ladder[int(n)] for n in packet.indices])
+        grids = [
+            np.linspace(0.0, 50.0, 501),
+            np.linspace(3.0, -40.0, 512),
+            np.linspace(0.0, 2e4, 4097),
+            np.linspace(-7e3, 1e3, 1000),
+            np.full(7, 12.5),
+        ]
+        for t in grids:
+            want = np.exp(-1j * np.outer(t, lam)) @ packet.weights
+            ulps = np.spacing(np.max(np.abs(t)) * np.abs(lam))
+            bound = np.sum(np.abs(packet.weights) * 5 * ulps) + 1e-15
+            assert np.max(np.abs(exact_series(ladder, packet, t) - want)) <= bound, t[-1]
 
     def test_support_error_lists_missing(self, packet):
         ladder = {int(n): 0.0 for n in packet.indices[:-3]}

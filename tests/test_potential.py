@@ -28,7 +28,6 @@ from revivalkit.errors import (
 from revivalkit.potential import (
     canonical_double_well,
     flow_period,
-    harmonic_well,
     leading_epsilon,
     lobe_action,
     regularized_action,
@@ -75,7 +74,7 @@ class TestCanonicalWell:
     def test_validate_saddle_accepts_quartic(self, quartic):
         validate_saddle(quartic)
 
-    def test_validate_saddle_rejects_harmonic(self):
+    def test_validate_saddle_rejects_harmonic(self, harmonic_well):
         with pytest.raises(ParameterError):
             validate_saddle(harmonic_well())
 

@@ -131,12 +131,13 @@ def _row_length(t) -> int:
     it (its last sample is the end point itself), takes B = ceil(sqrt(T)):
     about 2 sqrt(T) factor samples, left = t[::B] - t[0] and right = t[:B],
     whose A x B sums cover t row by row and pad the last row.  Any other
-    grid is one row, B = T, with left = 0 and right = t.
+    grid is one row, B = T (B = 1 without samples), with left = 0 and
+    right = t.
     """
     n = len(t)
     if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
         return math.isqrt(n - 1) + 1
-    return n
+    return max(n, 1)
 
 
 def _split(a):
@@ -246,15 +247,16 @@ def _grid_sum(packet, phase: PhaseData, t, shifts=(0, 0), order=2, clone=None, p
     The left factors carry the times t[::B] - t[0], the right ones t[:B]
     and the shifts.  Their phase sums u_a + u_b (and v_a + v_b) are a
     sample's own phases to rounding, a few ulp of t / T_hyp (and
-    t / T_rev).  With per_sample, each sum is taken at the samples' own
-    phases: the gaps enter to first order through the moments
-    sum_n n w_n z_n (and sum_n n^2 w_n z_n), one more matrix product each.
+    t / T_rev).  With per_sample (and no clone weights, whose terms carry
+    u alone), each sum is taken at the samples' own phases: the gaps
+    enter to first order through the moments sum_n n w_n z_n (and
+    sum_n n^2 w_n z_n), one more matrix product each.
     Returns (1 or 2, T): the weighted sum, then with clone weights the
     clone sum.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     b = _row_length(t)
-    left = _phases(phase, t[::b] - t[0])[:order]
+    left = _phases(phase, t[::b] - t[:1])[:order]
     right = _phases(phase, t[:b], *shifts)[:order]
     # one row's sums are the samples' own phases already
     per_sample = per_sample and b < len(t)
@@ -348,15 +350,11 @@ def exact_series(eigenvalues: Mapping[int, float], packet, t):
         )
     lam = np.array([eigenvalues[int(n)] for n in packet.indices])
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    # exp(-i t lambda) = exp(-i t_a lambda) exp(-i t_b lambda) over t's split
-    b = _row_length(t)
-    left, right = t[::b] - t[0], t[:b]
-    scaled = np.exp(-1j * np.outer(left, lam)) * packet.weights
-    out = np.empty((len(left), b), dtype=complex)
-    chunk = max(1, 2_000_000 // len(lam))
-    for i in range(0, b, chunk):
-        out[:, i : i + chunk] = scaled @ np.exp(-1j * np.outer(lam, right[i : i + chunk]))
-    return out.reshape(-1)[: len(t)]
+    out = np.empty(len(t), dtype=complex)
+    chunk = max(1, 2_000_000 // max(1, len(lam)))
+    for i in range(0, len(t), chunk):
+        out[i : i + chunk] = np.exp(-1j * np.outer(t[i : i + chunk], lam)) @ packet.weights
+    return out
 
 
 @dataclass(frozen=True)
@@ -383,6 +381,9 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     multiplication beside the order-2 terms, not exponentiated per sample
     and offset.  Both sums are taken at the split's phases, within a few
     ulp of t / T_hyp of each sample's own: ~1e-15 over a few T_hyp.
+    The approximants' first-order step to each sample's own phases is
+    left out: it would triple the matrix products of a call made once per
+    clone pair, to move its sums by a few 1e-15.
     """
     from .gausssum import coefficients
 

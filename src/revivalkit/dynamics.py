@@ -5,17 +5,16 @@ sum_n w_n exp(-2 pi i (u n + v n^2)) at each time.  Linear and quadratic
 phases are reduced modulo 1 (offsets are integers), which keeps huge time
 shifts exact; shifts given as Fractions combine with an exactly-known
 T_rev/T_hyp ratio in rational arithmetic, the test seam for revival
-identities.  On a uniform grid of T times, t[a B + b] = left[a] + right[b]
-with B = ceil(sqrt(T)), and each term factors into its values at the two
-factor times, so terms are generated only at the ~2 sqrt(T) factor samples
-and every sum is one matrix product over the offsets; any other grid is
-one row of T.  The approximants keep each sample's own phases: the split's
-gap from them, a few ulp, enters to first order.  The terms come by
-recurrence over consecutive offsets, outward from n = 0: three
-exponentials per factor sample, x = exp(-2 pi i u), y = exp(-2 pi i v)
-and y^2, then complex multiplies, in memory linear in the factor samples.
-A fractional revival's clone sum and its shifted order-2 series share u,
-so one run gives both.
+identities.  The approximants take each sample's own phases, as one row
+of terms.  A fractional revival's clone sum and its shifted order-2
+series share u, so one run gives both; on a uniform grid of T times,
+t[a B + b] = left[a] + right[b] with B = ceil(sqrt(T)), and each of its
+terms factors into its values at the two factor times, so terms are
+generated only at the ~2 sqrt(T) factor samples and each sum is one
+matrix product over the offsets.  The terms come by recurrence over
+consecutive offsets, outward from n = 0: three exponentials per factor
+sample, x = exp(-2 pi i u), y = exp(-2 pi i v) and y^2, then complex
+multiplies, in memory linear in the factor samples.
 """
 
 from __future__ import annotations
@@ -193,37 +192,32 @@ def _terms(phases, rows: int, reach: int):
     return np.multiply.accumulate(z, axis=0, out=z)
 
 
-# complex terms held at once: only a grid that is not uniform (its 1 x T
-# split) needs more than one block; 8 MB of terms keeps its memory
-# linear in the samples at any support
+# complex terms held at once: one row of many samples is taken in
+# blocks, and 8 MB of terms keeps its memory linear in the samples at any
+# support
 _BLOCK_TERMS = 1 << 19
 
 
-def _weighted_sum(weights, offsets, left, right, clone=None, moments=1):
-    """sum_n n^p w_n exp(-2 pi i (u n + v n^2)), p < moments, at every u = u_a + u_b, v = v_a + v_b.
+def _weighted_sum(weights, offsets, left, right, clone=None):
+    """sum_n w_n exp(-2 pi i (u n + v n^2)) at every u = u_a + u_b, v = v_a + v_b.
 
     left holds the phases of A factor samples as rows u_a (and v_a),
     right those of B samples, all reduced mod 1.  Since n and n^2 are
     integers, every term factors into z_n(u_a, v_a) z_n(u_b, v_b), so
     ``_terms`` runs once over the A + B factor samples, and each A x B
     table of sums is one matrix product over the offsets.  Given clone
-    weights c_n, the same run also gives sum_n n^p c_n x^n from its x^n
-    rows.  Returns (1 or 2, moments, A, B): the weighted sum, then the
-    clone sum.
+    weights c_n, the same run also gives sum_n c_n x^n from its x^n rows.
+    Returns (1 or 2, A, B): the weighted sum, then the clone sum.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     dist = np.abs(offsets)
     reach = int(dist.max())
     sets = [weights] if clone is None else [weights, clone]
     n_sets, n_left = len(sets), left.shape[1]
-    # ladder[s, p, j] holds set s's weights of +j and -j (offsets are
-    # distinct) times (+j, -j)^p
-    ladder = np.zeros((n_sets, 1, reach + 1, 2), dtype=complex)
-    ladder[:, 0, dist, (offsets < 0).astype(np.intp)] = sets
-    if moments > 1:
-        signed = np.arange(reach + 1)[:, None] * np.array([1, -1])
-        ladder = ladder * signed ** np.arange(moments)[:, None, None]
-    out = np.empty((n_sets, moments, n_left, right.shape[1]), dtype=complex)
+    # ladder[s, j] holds set s's weights of +j and -j (offsets are distinct)
+    ladder = np.zeros((n_sets, reach + 1, 2), dtype=complex)
+    ladder[:, dist, (offsets < 0).astype(np.intp)] = sets
+    out = np.empty((n_sets, n_left, right.shape[1]), dtype=complex)
     phases = np.concatenate([left, right], axis=1)
     # the left factors all come in the first block, and stay
     step = max(n_left + 1, _BLOCK_TERMS // (2 * n_sets * (reach + 1)))
@@ -233,50 +227,24 @@ def _weighted_sum(weights, offsets, left, right, clone=None, moments=1):
         z = z.reshape(reach + 1, n_sets, 2, -1).transpose(1, 0, 2, 3)
         if s == 0:
             zl, z = z[..., :n_left], z[..., n_left:]
-            # weights times left terms, as (set, moment, (offset, direction), a)
-            lw = (ladder[..., None] * zl[:, None]).reshape(n_sets, moments, 2 * (reach + 1), n_left)
+            # weights times left terms, as (set, (offset, direction), a)
+            lw = (ladder[..., None] * zl).reshape(n_sets, 2 * (reach + 1), n_left)
         b = max(s - n_left, 0)
-        zr = z.reshape(n_sets, 1, 2 * (reach + 1), -1)
-        out[..., b : b + z.shape[3]] = lw.swapaxes(2, 3) @ zr
+        zr = z.reshape(n_sets, 2 * (reach + 1), -1)
+        out[..., b : b + z.shape[3]] = lw.swapaxes(1, 2) @ zr
     return out
-
-
-def _grid_sum(packet, phase: PhaseData, t, shifts=(0, 0), order=2, clone=None, per_sample=False):
-    """``_weighted_sum`` at every sample of t, through t's factor split.
-
-    The left factors carry the times t[::B] - t[0], the right ones t[:B]
-    and the shifts.  Their phase sums u_a + u_b (and v_a + v_b) are a
-    sample's own phases to rounding, a few ulp of t / T_hyp (and
-    t / T_rev).  With per_sample (and no clone weights, whose terms carry
-    u alone), each sum is taken at the samples' own phases: the gaps
-    enter to first order through the moments sum_n n w_n z_n (and
-    sum_n n^2 w_n z_n), one more matrix product each.
-    Returns (1 or 2, T): the weighted sum, then with clone weights the
-    clone sum.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    b = _row_length(t)
-    left = _phases(phase, t[::b] - t[:1])[:order]
-    right = _phases(phase, t[:b], *shifts)[:order]
-    # one row's sums are the samples' own phases already
-    per_sample = per_sample and b < len(t)
-    sums = _weighted_sum(packet.weights, packet.offsets, left, right, clone, 1 + order if per_sample else 1)
-    sums = sums.reshape(*sums.shape[:2], -1)[..., : len(t)]
-    if not per_sample:
-        return sums[:, 0]
-    gap = _phases(phase, t, *shifts)[:order] - (left[:, :, None] + right[:, None]).reshape(order, -1)[:, : len(t)]
-    gap -= np.round(gap)
-    return sums[:, 0] - 2j * np.pi * np.sum(gap * sums[:, 1:], axis=1)
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
-    return _grid_sum(packet, phase, t, (shift_hyp, 0), order=1, per_sample=True)[0]
+    u = _phases(phase, np.asarray(t, dtype=float), shift_hyp)[:1]
+    return _weighted_sum(packet.weights, packet.offsets, np.zeros((1, 1)), u)[0, 0]
 
 
 def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     """Quadratic-phase approximant at t + shift_hyp*T_hyp + shift_rev*T_rev."""
-    return _grid_sum(packet, phase, t, (shift_hyp, shift_rev), per_sample=True)[0]
+    uv = _phases(phase, np.asarray(t, dtype=float), shift_hyp, shift_rev)
+    return _weighted_sum(packet.weights, packet.offsets, np.zeros((2, 1)), uv)[0, 0]
 
 
 def order1(packet, phase: PhaseData, t, alpha: float | None = None):
@@ -379,18 +347,22 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     shifted order-2 series, so one run of ``_weighted_sum`` gives both:
     x, y and y^2 taken once per factor sample, and x^n built by
     multiplication beside the order-2 terms, not exponentiated per sample
-    and offset.  Both sums are taken at the split's phases, within a few
-    ulp of t / T_hyp of each sample's own: ~1e-15 over a few T_hyp.
-    The approximants' first-order step to each sample's own phases is
-    left out: it would triple the matrix products of a call made once per
-    clone pair, to move its sums by a few 1e-15.
+    and offset.  The run takes t's factor split, the left factors at
+    t[::B] - t[0] and the right ones at t[:B] plus the shift, so both sums
+    are taken at phases within a few ulp of t / T_hyp of each sample's
+    own: ~1e-15 over a few T_hyp, and the same for the two sums.
     """
     from .gausssum import coefficients
 
     coeffs = coefficients(p, q, int(packet.center))
     folded = packet.weights * np.fft.fft(coeffs.phased)[packet.offsets % coeffs.ell]
-    shifted, clone = _grid_sum(packet, phase, t, (Fraction(p * phase.n_h, q), 0), clone=folded)
-    sup = float(np.abs(clone - shifted).max())
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    b = _row_length(t)
+    left = _phases(phase, t[::b] - t[:1])
+    right = _phases(phase, t[:b], Fraction(p * phase.n_h, q))
+    sums = _weighted_sum(packet.weights, packet.offsets, left, right, folded)
+    shifted, clone = sums.reshape(2, -1)[:, : len(t)]
+    sup = float(np.max(np.abs(clone - shifted), initial=0.0))
     return FractionalComparison(
         p=p, q=q, ell=coeffs.ell, clone_sum=clone, shifted_order2=shifted,
         sup_difference=sup,

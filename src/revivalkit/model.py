@@ -22,6 +22,8 @@ from .specfun import arg_gamma_half_line, digamma, tetragamma, trigamma
 from .util import bisect_lockstep
 
 TWO_PI = 2.0 * math.pi
+# packets sit on the alpha family's ladder
+LADDER_FAMILY = "alpha"
 
 
 @dataclass(frozen=True)
@@ -405,8 +407,8 @@ class SpectralModel:
             beta_lambdas=self._solve_on(self.z_h, -1.0, 1.0),
         )
 
-    def solve_ladder(self, lam_center: float, n_side: int, family: str = "alpha"):
-        """Every root within n_side indices of the one nearest lam_center.
+    def solve_ladder(self, lam_center: float, n_side: int):
+        """Every LADDER_FAMILY root within n_side indices of the one nearest lam_center.
 
         Returns {index k: lambda_k} for those indices, as far as the table's
         domain |lambda h| <= 0.95 delta reaches.  The gaps widen away from the
@@ -414,12 +416,12 @@ class SpectralModel:
         lam_center and where the log term's slope ln(h)/w alone would end it,
         and doubled until it holds n_side roots past the nearest one.
         """
-        func, c = self._phase(family), lam_center
+        func, c = self._phase(LADDER_FAMILY), lam_center
         lam_max = 0.95 * self.table.delta / self.h
         reach = (n_side + 3) * TWO_PI
         guess = reach * self.w / abs(self.lnh)
         probe = np.clip(c + np.array([0.0, -guess, guess]), -lam_max, lam_max)
-        slope = np.abs(self._derivatives(probe, family)[0])
+        slope = np.abs(self._derivatives(probe, LADDER_FAMILY)[0])
         span = reach / np.minimum(slope[0], slope[1:])
         n_grid = max(4097, 16 * (2 * n_side + 8))
         while True:

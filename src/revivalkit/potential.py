@@ -99,9 +99,11 @@ _Y4_W0 = -(2.0 ** (1.0 / 3.0)) * _Y4_W1
 _Y4_COEFFS = (_Y4_W1, _Y4_W0, _Y4_W1)
 
 
-# the orbit must close within CLOSURE_TOL * max(1, x0) of its start; the
-# energy drift is sampled every DRIFT_STRIDE steps and at the return
+# the orbit must close within CLOSURE_TOL * max(1, x0) of its start, by
+# FLOW_MAX_TIME; the energy drift, sampled every DRIFT_STRIDE steps and at
+# the return, must stay within FLOW_DRIFT_TOL
 CLOSURE_TOL, DRIFT_STRIDE = 1e-6, 64
+FLOW_MAX_TIME, FLOW_DRIFT_TOL = 200.0, 1e-9
 
 
 def _hermite(s, y0, d0, y1, d1):
@@ -118,8 +120,6 @@ def flow_period(
     potential: Potential,
     h: float,
     dt: float = 1e-3,
-    max_time: float = 200.0,
-    drift_tol: float = 1e-9,
 ) -> ClassicalOrbitResult:
     """Integrate the flow from (sqrt(h), 0) until its first return.
 
@@ -148,7 +148,7 @@ def flow_period(
 
     x, xi, t, force = x0, 0.0, 0.0, grad(x0)
     max_drift = 0.0
-    n_steps = int(np.ceil(max_time / dt))
+    n_steps = int(np.ceil(FLOW_MAX_TIME / dt))
     for i in range(n_steps):
         px, pxi, pt, pforce = x, xi, t, force
         x, xi, force = step(x, xi, force, dt)
@@ -164,8 +164,8 @@ def flow_period(
             )[0])
             x_cross = _hermite(s, px, dt * pxi, x, dt * xi)
             drift = max(max_drift, energy_error(x, xi))
-            if drift > drift_tol:
-                raise ToleranceFailure(f"energy drift {drift:.3e} exceeds {drift_tol:.3e}")
+            if drift > FLOW_DRIFT_TOL:
+                raise ToleranceFailure(f"energy drift {drift:.3e} exceeds {FLOW_DRIFT_TOL:.3e}")
             if abs(x_cross - x0) > CLOSURE_TOL * max(1.0, abs(x0)):
                 raise ToleranceFailure(
                     f"orbit closes {abs(x_cross - x0):.3e} away from its "
@@ -174,7 +174,7 @@ def flow_period(
             return ClassicalOrbitResult(
                 energy=e0, initial_point=(x0, 0.0), period=pt + s * dt, energy_drift=drift
             )
-    raise NonClosingOrbit(f"no return within t={max_time:g} (h={h:g})")
+    raise NonClosingOrbit(f"no return within t={FLOW_MAX_TIME:g} (h={h:g})")
 
 
 def _like(energy, values):

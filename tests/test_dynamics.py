@@ -14,6 +14,7 @@ from peaks import NoPeaks, detect_peaks
 from revivalkit import dynamics
 from revivalkit.dynamics import (
     PhaseData,
+    _phases,
     _row_length,
     _weighted_sum,
     check_time_scale,
@@ -203,7 +204,7 @@ def _random_packet(layout: str, n_offsets: int, rng):
         "single": np.array([0]),
     }[layout]
     weights = rng.standard_normal(len(offsets)) + 1j * rng.standard_normal(len(offsets))
-    return SimpleNamespace(weights=weights / np.sum(np.abs(weights)), offsets=offsets)
+    return SimpleNamespace(weights=weights / np.sum(np.abs(weights)), offsets=offsets, center=0)
 
 
 class TestWeightedSum:
@@ -217,18 +218,22 @@ class TestWeightedSum:
         pk = _random_packet(layout, n_offsets, rng)
         u, v = rng.random(97), rng.random(97)
         zero = np.zeros((2, 1))
-        got1 = _weighted_sum(pk.weights, pk.offsets, zero[:1], u[None])[0, 0, 0]
-        got2 = _weighted_sum(pk.weights, pk.offsets, zero, np.stack([u, v]))[0, 0, 0]
+        got1 = _weighted_sum(pk.weights, pk.offsets, zero[:1], u[None])[0, 0]
+        got2 = _weighted_sum(pk.weights, pk.offsets, zero, np.stack([u, v]))[0, 0]
         assert np.max(np.abs(got1 - _reference_sum(pk.weights, pk.offsets, u))) <= 1e-13
         assert np.max(np.abs(got2 - _reference_sum(pk.weights, pk.offsets, u, v))) <= 1e-12
 
     @pytest.mark.parametrize("layout", ["centred", "gapped", "positive", "negative", "single"])
     @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 509, 512])
     def test_uniform_grids_match_exponential_matrix(self, n_samples, layout):
-        # rising, falling and constant grids, on a float ratio and on the
-        # exact N_h = 2^48 + 1, against each sample's own phases
+        # the clone comparison's split on rising, falling and constant grids,
+        # on a float ratio and on the exact N_h = 2^48 + 1, against each
+        # sample's own phases
         rng = np.random.default_rng(n_samples)
         pk = _random_packet(layout, 41, rng)
+        p, q = 2, 5
+        coeffs = coefficients(p, q, pk.center)
+        folded = pk.weights * np.fft.fft(coeffs.phased)[pk.offsets % coeffs.ell]
         phases = [
             PhaseData(a0=0.0, a1=1.0 / 2.7, a2=1.0 / (math.pi * 2.7 * 23.4)),
             PhaseData.synthetic(t_hyp=2.7, n_h=2**48 + 1, theta=Fraction(1, 3)),
@@ -238,9 +243,10 @@ class TestWeightedSum:
                 t = np.linspace(start * ph.t_hyp, stop * ph.t_hyp, n_samples)
                 # past two samples the grid takes its split, not one row
                 assert _row_length(t) < len(t) or n_samples <= 2
-                u, v = (t / ph.t_hyp) % 1.0, (t / ph.t_rev) % 1.0
-                err1 = np.abs(order1_series(pk, ph, t) - _reference_sum(pk.weights, pk.offsets, u))
-                err2 = np.abs(order2_series(pk, ph, t) - _reference_sum(pk.weights, pk.offsets, u, v))
+                u, v = _phases(ph, t, Fraction(p * ph.n_h, q))
+                got = fractional_prediction(pk, ph, p, q, t)
+                err1 = np.abs(got.clone_sum - _reference_sum(folded, pk.offsets, u))
+                err2 = np.abs(got.shifted_order2 - _reference_sum(pk.weights, pk.offsets, u, v))
                 assert np.max(err1) <= 1e-13, (start, stop)
                 assert np.max(err2) <= 1e-12, (start, stop)
 
@@ -250,27 +256,31 @@ class TestWeightedSum:
         moved[300] = np.nextafter(moved[300], np.inf)
         assert _row_length(t) == 23
         assert _row_length(moved) == 512
-        for series in (order1_series, order2_series):
-            assert np.max(np.abs(series(packet, phase, moved) - series(packet, phase, t))) <= 1e-14
+        split, one_row = (fractional_prediction(packet, phase, 1, 3, grid) for grid in (t, moved))
+        assert np.max(np.abs(one_row.clone_sum - split.clone_sum)) <= 1e-14
+        assert np.max(np.abs(one_row.shifted_order2 - split.shifted_order2)) <= 1e-14
 
     @pytest.mark.parametrize("ratio", ["exact", "float"])
     def test_long_uniform_grid_keeps_each_samples_phases(self, packet, phase, ratio):
-        # at t = 1000 T_hyp the split's phases are ~1e-13 off each sample's
-        # own; the series take the samples' own phases, as one row does
+        # a uniform grid out to 1000 T_hyp, where a split's phases would be
+        # ~1e-13 off each sample's own: the approximants are the one-row sum
+        # at the samples' own phases, bit for bit
         if ratio == "float":
             phase = PhaseData(a0=0.0, a1=1.0 / 2.7, a2=1.0 / (math.pi * 2.7 * 23.4))
         t = np.linspace(0.0, 1000.0 * abs(phase.t_hyp), 4096)
-        assert _row_length(t) == 64
-        own = np.stack([(t / phase.t_hyp) % 1.0, (t / phase.t_rev) % 1.0])
+        own = _phases(phase, t)
         for order, series in ((1, order1_series), (2, order2_series)):
             one_row = _weighted_sum(packet.weights, packet.offsets, np.zeros((order, 1)), own[:order])
-            assert np.max(np.abs(series(packet, phase, t) - one_row[0, 0, 0])) <= 1e-14, order
+            assert np.array_equal(series(packet, phase, t), one_row[0, 0]), order
 
     def test_empty_grid_gives_empty_series(self, packet, phase):
         t = np.empty(0)
         assert order1_series(packet, phase, t).shape == (0,)
         assert order2_series(packet, phase, t).shape == (0,)
         assert exact_series({int(n): 0.0 for n in packet.indices}, packet, t).shape == (0,)
+        cmp = fractional_prediction(packet, phase, 1, 3, t)
+        assert cmp.clone_sum.shape == cmp.shifted_order2.shape == (0,)
+        assert cmp.sup_difference == 0.0
 
     def test_blocks_of_one_row_match_one_block(self, packet, phase, monkeypatch):
         t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 1000)[::-1] ** 1.5
@@ -282,15 +292,18 @@ class TestWeightedSum:
 
     def test_long_grid_memory_is_linear_in_samples(self):
         # the 201-offset packet of criterion C3 on 200 000 samples: a T x N
-        # phase matrix and its exponential would take ~1.6 GB
+        # phase matrix and its exponential would take ~1.6 GB; the series is
+        # one row in blocks, the clone comparison a 448 x 448 split
         spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-6)
         pk = build_coefficients(spec, 137, radius_factor=100.0 / spec.width)
         assert len(pk.offsets) == 201
         ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
         t = np.linspace(0.0, 1000.0 * math.pi, 200_000)
+        assert _row_length(t) == 448
         tracemalloc.start()
         try:
             order2_series(pk, ph, t)
+            fractional_prediction(pk, ph, 1, 3, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,15 +543,17 @@ class TestWindowReturn:
 
 
 class TestBetaFamilyMirror:
-    def test_beta_packet_recurs_like_alpha(self, quartic):
+    def test_beta_packet_recurs_like_alpha(self, quartic, monkeypatch):
         """At the window edge the two families' recurrence periods approach."""
+        from revivalkit import model as model_module
         from revivalkit.model import SpectralModel, select_alpha_near
 
         h = 1e-9
         model = SpectralModel(quartic, h)
         periods = {}
         for family in ("alpha", "beta"):
-            roots = model.solve_ladder(-1.0, n_side=20, family=family)
+            monkeypatch.setattr(model_module, "LADDER_FAMILY", family)
+            roots = model.solve_ladder(-1.0, n_side=20)
             n0 = select_alpha_near(roots, -1.0)
             spec = PacketSpec(energy=-1.0, gamma=0.3, gamma_prime=0.8, h=h)
             pk = build_coefficients(spec, n0, index_set=roots.keys())

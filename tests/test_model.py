@@ -568,13 +568,14 @@ class TestLadderAndPhaseData:
 
     @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-8, 1.27e-12])
     @pytest.mark.parametrize("family", ["alpha", "beta"])
-    def test_ladder_holds_every_index_within_n_side(self, quartic, h, family):
+    def test_ladder_holds_every_index_within_n_side(self, quartic, h, family, monkeypatch):
         # gaps widen away from the barrier top: a reach sized by the gap at
         # the centre alone fell short (27 of 31 roots at n_side = 15, h = 1e-4)
+        monkeypatch.setattr(model_module, "LADDER_FAMILY", family)
         m = SpectralModel(quartic, h)
         for lam_center in (-0.9, -0.4, 0.3):
             for n_side in (5, 15, 40):
-                roots = m.solve_ladder(lam_center, n_side, family)
+                roots = m.solve_ladder(lam_center, n_side)
                 k0 = select_alpha_near(roots, lam_center)
                 assert sorted(roots) == list(range(k0 - n_side, k0 + n_side + 1))
                 # k0 is the root nearest the centre among all roots, too

@@ -147,13 +147,15 @@ class TestFlowPeriod:
         assert xi0 == 0.0
         assert abs(quartic(x0) - orbit.energy) <= 1e-15
 
-    def test_non_closing_orbit_raises(self, quartic):
+    def test_non_closing_orbit_raises(self, quartic, monkeypatch):
+        monkeypatch.setattr(potential_module, "FLOW_MAX_TIME", 1.0)
         with pytest.raises(NonClosingOrbit):
-            flow_period(quartic, 1e-3, max_time=1.0)
+            flow_period(quartic, 1e-3)
 
-    def test_drift_tolerance_enforced(self, quartic):
+    def test_drift_tolerance_enforced(self, quartic, monkeypatch):
+        monkeypatch.setattr(potential_module, "FLOW_DRIFT_TOL", 1e-14)
         with pytest.raises(ToleranceFailure):
-            flow_period(quartic, 1e-3, dt=5e-2, drift_tol=1e-14)
+            flow_period(quartic, 1e-3, dt=5e-2)
 
     def test_bad_h_rejected(self, quartic):
         with pytest.raises(ParameterError):

@@ -5,20 +5,26 @@ sum_n w_n exp(-2 pi i (u n + v n^2)) at each time.  Linear and quadratic
 phases are reduced modulo 1 (offsets are integers), which keeps huge time
 shifts exact; shifts given as Fractions combine with an exactly-known
 T_rev/T_hyp ratio in rational arithmetic, the test seam for revival
-identities.  The approximants take each sample's own phases, as one row
-of terms.  A fractional revival's clone sum and its shifted order-2
-series share u, so one run gives both; on a uniform grid of T times,
-t[a B + b] = left[a] + right[b] with B = ceil(sqrt(T)), and each of its
-terms factors into its values at the two factor times, so terms are
-generated only at the ~2 sqrt(T) factor samples and each sum is one
-matrix product over the offsets.  The terms come by recurrence over
-consecutive offsets, outward from n = 0: three exponentials per factor
-sample, x = exp(-2 pi i u), y = exp(-2 pi i v) and y^2, then complex
-multiplies, in memory linear in the factor samples.
+identities.  The terms come by recurrence over consecutive offsets,
+outward from n = 0: three exponentials per sample, x = exp(-2 pi i u),
+y = exp(-2 pi i v) and y^2, then complex multiplies.  The approximants
+take each sample's own phases, as one row of terms summed in blocks, in
+memory linear in the samples.
+
+A fractional revival's clone sum and its shifted order-2 series are taken
+at t's unshifted phases, with the pair's shift and clone coefficients in
+two weight columns.  On a uniform grid of T times, t[a B + b] = left[a] +
+right[b] with B = ceil(sqrt(T)), so each term is a product of three
+factors: its values at the two factor times, which do not depend on the
+pair, and the pair's weight.  The first two are tabulated at the
+~2 sqrt(T) factor samples and kept for the last phase, grid and offsets
+seen, so each pair is one small batched matrix product over the offsets.
+Any other grid is taken as one row of samples in blocks, and kept nowhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,8 +105,8 @@ class PhaseData:
         return cls(a0=0.0, a1=a1, a2=a2, ratio_exact=ratio_exact)
 
 
-def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
-    """Linear and quadratic phases (mod 1) per unit offset at t + shifts, as two rows.
+def _shift(phase: PhaseData, shift_hyp=0, shift_rev=0):
+    """Linear and quadratic phase (mod 1) per unit offset of a time shift.
 
     shift_hyp counts multiples of T_hyp, shift_rev multiples of T_rev.
     """
@@ -113,14 +119,23 @@ def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
         r = phase.ratio_exact
         lin = Fraction(shift_hyp) + Fraction(shift_rev) * r
         quad = Fraction(shift_hyp) / r + Fraction(shift_rev)
-        lin, quad = float(lin - math.floor(lin)), float(quad - math.floor(quad))
-    else:
-        r = phase.ratio
-        lin = (float(shift_hyp) + float(shift_rev) * r) % 1.0
-        quad = (float(shift_hyp) / r + float(shift_rev)) % 1.0
-    phases = t / np.array([[phase.t_hyp], [phase.t_rev]]) + np.array([[lin], [quad]])
+        return float(lin - math.floor(lin)), float(quad - math.floor(quad))
+    r = phase.ratio
+    lin = (float(shift_hyp) + float(shift_rev) * r) % 1.0
+    return lin, (float(shift_hyp) / r + float(shift_rev)) % 1.0
+
+
+def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
+    """Linear and quadratic phases (mod 1) per unit offset at t + shifts, as two rows."""
+    shift = np.array(_shift(phase, shift_hyp, shift_rev))[:, None]
+    phases = t / np.array([[phase.t_hyp], [phase.t_rev]]) + shift
     # x - floor(x) is x % 1 to the bit, in fewer operations
     return phases - np.floor(phases)
+
+
+def _uniform_head(start, stop, n: int):
+    """The first n - 1 of n uniform samples from start to stop, as np.linspace makes them."""
+    return np.arange(n - 1) * ((stop - start) / (n - 1)) + start
 
 
 def _row_length(t) -> int:
@@ -129,18 +144,18 @@ def _row_length(t) -> int:
     A uniform grid, t[j] = t[0] + j * step to the bit as np.linspace makes
     it (its last sample is the end point itself), takes B = ceil(sqrt(T)):
     about 2 sqrt(T) factor samples, left = t[::B] - t[0] and right = t[:B],
-    whose A x B sums cover t row by row and pad the last row.  Any other
-    grid is one row, B = T (B = 1 without samples), with left = 0 and
-    right = t.
+    whose A x B sums cover t row by row and pad the last row.  Such a grid
+    is fixed by t[0], t[-1] and T.  Any other grid is one row, B = T
+    (B = 1 without samples).
     """
     n = len(t)
-    if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
+    if n > 2 and np.array_equal(t[:-1], _uniform_head(t[0], t[-1], n)):
         return math.isqrt(n - 1) + 1
     return max(n, 1)
 
 
 def _split(a):
-    """Veltkamp split a = hi + lo, hi carrying at most 26 significant bits."""
+    """Veltkamp split a = hi + lo, each half carrying at most 26 significant bits."""
     t = 134217729.0 * a  # 2**27 + 1
     hi = t - (t - a)
     return hi, a - hi
@@ -198,53 +213,102 @@ def _terms(phases, rows: int, reach: int):
 _BLOCK_TERMS = 1 << 19
 
 
-def _weighted_sum(weights, offsets, left, right, clone=None):
-    """sum_n w_n exp(-2 pi i (u n + v n^2)) at every u = u_a + u_b, v = v_a + v_b.
+def _weighted_sum(weights, offsets, phases):
+    """sum_n w_n exp(-2 pi i (u n + v n^2)) at each sample's u (and v).
 
-    left holds the phases of A factor samples as rows u_a (and v_a),
-    right those of B samples, all reduced mod 1.  Since n and n^2 are
-    integers, every term factors into z_n(u_a, v_a) z_n(u_b, v_b), so
-    ``_terms`` runs once over the A + B factor samples, and each A x B
-    table of sums is one matrix product over the offsets.  Given clone
-    weights c_n, the same run also gives sum_n c_n x^n from its x^n rows.
-    Returns (1 or 2, A, B): the weighted sum, then the clone sum.
+    phases holds u (and v) per sample as rows, reduced mod 1.  ``_terms``
+    runs over the samples in blocks of _BLOCK_TERMS terms, and each block's
+    sums are a multiply-and-sum over the offsets: a BLAS product of this
+    shape would wake a second thread for no gain.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     dist = np.abs(offsets)
     reach = int(dist.max())
-    sets = [weights] if clone is None else [weights, clone]
-    n_sets, n_left = len(sets), left.shape[1]
-    # ladder[s, j] holds set s's weights of +j and -j (offsets are distinct)
-    ladder = np.zeros((n_sets, reach + 1, 2), dtype=complex)
-    ladder[:, dist, (offsets < 0).astype(np.intp)] = sets
-    out = np.empty((n_sets, n_left, right.shape[1]), dtype=complex)
-    phases = np.concatenate([left, right], axis=1)
-    # the left factors all come in the first block, and stay
-    step = max(n_left + 1, _BLOCK_TERMS // (2 * n_sets * (reach + 1)))
-    for s in range(0, phases.shape[1], step):
-        z = _terms(phases[:, s : s + step], 2 * n_sets, reach)
-        # each set's own two rows of terms, as (offset, direction) rows
-        z = z.reshape(reach + 1, n_sets, 2, -1).transpose(1, 0, 2, 3)
-        if s == 0:
-            zl, z = z[..., :n_left], z[..., n_left:]
-            # weights times left terms, as (set, (offset, direction), a)
-            lw = (ladder[..., None] * zl).reshape(n_sets, 2 * (reach + 1), n_left)
-        b = max(s - n_left, 0)
-        zr = z.reshape(n_sets, 2 * (reach + 1), -1)
-        out[..., b : b + z.shape[3]] = lw.swapaxes(1, 2) @ zr
+    # ladder[j] holds the weights of +j and -j (offsets are distinct)
+    ladder = np.zeros((reach + 1, 2, 1), dtype=complex)
+    ladder[dist, (offsets < 0).astype(np.intp), 0] = weights
+    out = np.empty(phases.shape[1], dtype=complex)
+    step = max(1, _BLOCK_TERMS // (2 * (reach + 1)))
+    for s in range(0, len(out), step):
+        z = _terms(phases[:, s : s + step], 2, reach)
+        z *= ladder
+        out[s : s + step] = z.sum(axis=(0, 1))
     return out
+
+
+_LIMB = 1 << 26
+
+
+def _limbs(offsets):
+    """n and n^2 per offset as a high and a low limb, (2, 2, N) floats.
+
+    The high limb is a multiple of 2^26 below 2^53 in magnitude while
+    |n| < 2^26.5, the low one lies in [0, 2^26): each has at most 27
+    significant bits, so its product with a 26-bit half of ``_split`` is
+    exact.
+    """
+    m = np.stack([offsets, offsets * offsets])
+    low = m & (_LIMB - 1)
+    return np.stack([m - low, low], axis=1).astype(float)
+
+
+def _shift_phasors(lin: float, quad: float, limbs):
+    """exp(-2 pi i lin n) and exp(-2 pi i (lin n + quad n^2)) per offset, as two rows.
+
+    lin and quad split into 26-bit halves and n, n^2 into limbs
+    (``_limbs``), so that every partial product is exact and reduces mod 1
+    exactly; only the sum of the reduced products rounds, to a few ulp of
+    a turn at any offset, where lin n + quad n^2 in floats loses n^2 ulp.
+    """
+    halves = np.array([_split(lin), _split(quad)])
+    products = halves[:, :, None, None] * limbs[:, None]
+    turns = (products - np.round(products)).sum(axis=(1, 2))
+    turns[1] += turns[0]
+    return np.exp(-2j * np.pi * (turns - np.round(turns)))
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_tables(key: bytes, n_samples: int, offsets: bytes):
+    """The pair-free factors of the clone comparison on a uniform grid.
+
+    key holds the bits of a1, a2 and the grid's first and last samples;
+    with n_samples and the offsets' bytes they fix the tables, which are
+    built from these bits alone, so a memo hit gives what a miss gives.
+    One ``_terms`` run over the A + B factor samples, unshifted, gathered
+    at the offsets: left (2, A, N) and right (2, N, B), row 0 the x^n
+    terms of the clone sum, row 1 the order-2 terms; and the offsets'
+    ``_limbs``.  Read-only.
+    """
+    a1, a2, start, stop = np.frombuffer(key).tolist()
+    offsets = np.frombuffer(offsets, dtype=np.int64)
+    t = np.append(_uniform_head(start, stop, n_samples), stop)
+    b = _row_length(t)
+    phase = PhaseData(a0=0.0, a1=a1, a2=a2)
+    n_left = len(t[::b])
+    phases = np.concatenate([_phases(phase, t[::b] - t[:1]), _phases(phase, t[:b])], axis=1)
+    dist = np.abs(offsets)
+    neg = (offsets < 0).astype(np.intp)
+    z = _terms(phases, 4, int(dist.max()))[dist, np.stack([2 + neg, neg])]
+    tables = (
+        np.ascontiguousarray(z[..., :n_left].swapaxes(1, 2)),
+        np.ascontiguousarray(z[..., n_left:]),
+        _limbs(offsets),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
     """Linear-phase approximant at t + shift_hyp * T_hyp (no a0 factor)."""
     u = _phases(phase, np.asarray(t, dtype=float), shift_hyp)[:1]
-    return _weighted_sum(packet.weights, packet.offsets, np.zeros((1, 1)), u)[0, 0]
+    return _weighted_sum(packet.weights, packet.offsets, u)
 
 
 def order2_series(packet, phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     """Quadratic-phase approximant at t + shift_hyp*T_hyp + shift_rev*T_rev."""
     uv = _phases(phase, np.asarray(t, dtype=float), shift_hyp, shift_rev)
-    return _weighted_sum(packet.weights, packet.offsets, np.zeros((2, 1)), uv)[0, 0]
+    return _weighted_sum(packet.weights, packet.offsets, uv)
 
 
 def order1(packet, phase: PhaseData, t, alpha: float | None = None):
@@ -280,7 +344,7 @@ def default_beta(gamma: float) -> float:
 
 def check_time_scale(t, h: float, exponent: float) -> None:
     """Refuse a time grid reaching past the approximant horizon |ln h|^exponent."""
-    t_max = float(np.max(np.asarray(t)))
+    t_max = float(np.max(np.asarray(t), initial=-np.inf))
     horizon = abs(math.log(h)) ** exponent
     if t_max > horizon * (1.0 + 1e-12):
         raise TimeScaleError(
@@ -343,25 +407,35 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     The clone sum is one order-1 sum: exp(-2 pi i (u + k/ell) n) factors
     into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
     fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), the length-ell
-    FFT of b~ read at n mod ell.  It shares its linear phase with the
-    shifted order-2 series, so one run of ``_weighted_sum`` gives both:
-    x, y and y^2 taken once per factor sample, and x^n built by
-    multiplication beside the order-2 terms, not exponentiated per sample
-    and offset.  The run takes t's factor split, the left factors at
-    t[::B] - t[0] and the right ones at t[:B] plus the shift, so both sums
-    are taken at phases within a few ulp of t / T_hyp of each sample's
-    own: ~1e-15 over a few T_hyp, and the same for the two sums.
+    FFT of b~ read at n mod ell.  The shift's phases fold into the weights
+    too (``_shift_phasors``), so both sums are taken at t's own unshifted
+    phases.  On a uniform grid each term is a product of three factors:
+    its values at the two factor times, kept per grid (``_factor_tables``),
+    and the pair's weight; each pair is then one batched product.  Any
+    other grid is taken as one row, in blocks.
     """
     from .gausssum import coefficients
 
     coeffs = coefficients(p, q, int(packet.center))
-    folded = packet.weights * np.fft.fft(coeffs.phased)[packet.offsets % coeffs.ell]
+    offsets = np.asarray(packet.offsets, dtype=np.int64)
+    folded = packet.weights * np.fft.fft(coeffs.phased)[offsets % coeffs.ell]
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    b = _row_length(t)
-    left = _phases(phase, t[::b] - t[:1])
-    right = _phases(phase, t[:b], Fraction(p * phase.n_h, q))
-    sums = _weighted_sum(packet.weights, packet.offsets, left, right, folded)
-    shifted, clone = sums.reshape(2, -1)[:, : len(t)]
+    uniform = _row_length(t) < len(t)
+    if uniform:
+        key = np.array([phase.a1, phase.a2, t[0], t[-1]]).tobytes()
+        left, right, limbs = _factor_tables(key, len(t), offsets.tobytes())
+    else:
+        limbs = _limbs(offsets)
+    # the clone weights, then the order-2 ones, each with the shift's phases
+    weights = _shift_phasors(*_shift(phase, Fraction(p * phase.n_h, q)), limbs)
+    weights[0] *= folded
+    weights[1] *= packet.weights
+    if uniform:
+        clone, shifted = ((left * weights[:, None]) @ right).reshape(2, -1)[:, : len(t)]
+    else:
+        uv = _phases(phase, t)
+        clone = _weighted_sum(weights[0], offsets, uv[:1])
+        shifted = _weighted_sum(weights[1], offsets, uv)
     sup = float(np.max(np.abs(clone - shifted), initial=0.0))
     return FractionalComparison(
         p=p, q=q, ell=coeffs.ell, clone_sum=clone, shifted_order2=shifted,

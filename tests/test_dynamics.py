@@ -213,13 +213,12 @@ class TestWeightedSum:
     @pytest.mark.parametrize("layout", ["centred", "gapped", "positive", "negative"])
     @pytest.mark.parametrize("n_offsets", [1, 2, 41, 201, 401])
     def test_matches_exponential_matrix(self, n_offsets, layout):
-        # a 1 x T split: the left factor at phase 0, the right at each sample's own
+        # one row of samples, each at its own phases
         rng = np.random.default_rng(n_offsets)
         pk = _random_packet(layout, n_offsets, rng)
         u, v = rng.random(97), rng.random(97)
-        zero = np.zeros((2, 1))
-        got1 = _weighted_sum(pk.weights, pk.offsets, zero[:1], u[None])[0, 0]
-        got2 = _weighted_sum(pk.weights, pk.offsets, zero, np.stack([u, v]))[0, 0]
+        got1 = _weighted_sum(pk.weights, pk.offsets, u[None])
+        got2 = _weighted_sum(pk.weights, pk.offsets, np.stack([u, v]))
         assert np.max(np.abs(got1 - _reference_sum(pk.weights, pk.offsets, u))) <= 1e-13
         assert np.max(np.abs(got2 - _reference_sum(pk.weights, pk.offsets, u, v))) <= 1e-12
 
@@ -270,13 +269,15 @@ class TestWeightedSum:
         t = np.linspace(0.0, 1000.0 * abs(phase.t_hyp), 4096)
         own = _phases(phase, t)
         for order, series in ((1, order1_series), (2, order2_series)):
-            one_row = _weighted_sum(packet.weights, packet.offsets, np.zeros((order, 1)), own[:order])
-            assert np.array_equal(series(packet, phase, t), one_row[0, 0]), order
+            one_row = _weighted_sum(packet.weights, packet.offsets, own[:order])
+            assert np.array_equal(series(packet, phase, t), one_row), order
 
     def test_empty_grid_gives_empty_series(self, packet, phase):
         t = np.empty(0)
         assert order1_series(packet, phase, t).shape == (0,)
         assert order2_series(packet, phase, t).shape == (0,)
+        assert order1(packet, phase, t).shape == (0,)
+        assert order2(packet, phase, t).shape == (0,)
         assert exact_series({int(n): 0.0 for n in packet.indices}, packet, t).shape == (0,)
         cmp = fractional_prediction(packet, phase, 1, 3, t)
         assert cmp.clone_sum.shape == cmp.shifted_order2.shape == (0,)
@@ -310,8 +311,8 @@ class TestWeightedSum:
         assert peak < 64e6
 
     def test_one_row_memory_is_linear_in_samples(self):
-        # the same grid with one sample moved is one row of 200 000 factor
-        # samples, taken in blocks
+        # the same grid with one sample moved is one row of 200 000 samples,
+        # taken in blocks; the clone comparison tabulates no factors for it
         spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-6)
         pk = build_coefficients(spec, 137, radius_factor=100.0 / spec.width)
         ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
@@ -321,6 +322,7 @@ class TestWeightedSum:
         tracemalloc.start()
         try:
             order2_series(pk, ph, t)
+            fractional_prediction(pk, ph, 1, 3, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,6 +416,106 @@ class TestSingleSweep:
             cmp = fractional_prediction(pk, phase, p, q, t)
             assert np.all(cmp.shifted_order2 == 1.0)
             assert np.max(np.abs(cmp.clone_sum - 1.0)) <= 1e-15
+
+
+def _comparison(cmp):
+    return cmp.clone_sum.copy(), cmp.shifted_order2.copy(), cmp.sup_difference
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestFactorMemo:
+    """The pair-free factor tables kept for the last phase, grid and offsets."""
+
+    @staticmethod
+    def _cold(*args):
+        dynamics._factor_tables.cache_clear()
+        return _comparison(fractional_prediction(*args))
+
+    def test_warm_call_equals_cold_call(self, packet, phase):
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        cold = self._cold(packet, phase, 3, 7, t)
+        for p, q in ((1, 2), (3, 7)):
+            warm = _comparison(fractional_prediction(packet, phase, p, q, t))
+        assert dynamics._factor_tables.cache_info().hits >= 2
+        _assert_same_bits(warm, cold)
+
+    def test_interleaved_calls_equal_their_cold_results(self, packet, phase):
+        rng = np.random.default_rng(5)
+        reweighted = SimpleNamespace(
+            weights=packet.weights * np.exp(2j * np.pi * rng.random(len(packet.offsets))),
+            offsets=packet.offsets, center=packet.center,
+        )
+        # as many offsets, one index further out
+        moved = SimpleNamespace(weights=packet.weights, offsets=packet.offsets + 1, center=packet.center)
+        other_phase = PhaseData.synthetic(t_hyp=math.pi, n_h=21, theta=Fraction(1, 3))
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        t_ulp = np.linspace(0.0, np.nextafter(t[-1], np.inf), 512)
+        assert _row_length(t) == _row_length(t_ulp) == 23
+        cases = {
+            "weights": ((packet, phase, t), (reweighted, phase, t)),
+            "offsets": ((packet, phase, t), (moved, phase, t)),
+            "phase": ((packet, phase, t), (packet, other_phase, t)),
+            "grid": ((packet, phase, t), (packet, phase, t_ulp)),
+        }
+        for name, (a, b) in cases.items():
+            cold = [self._cold(pk, ph, 2, 5, grid) for pk, ph, grid in (a, b)]
+            # each pair of inputs differs in its results, so a shared entry would show
+            assert not np.array_equal(cold[0][1], cold[1][1]), name
+            for (pk, ph, grid), want in [(a, cold[0]), (b, cold[1])] * 2:
+                _assert_same_bits(_comparison(fractional_prediction(pk, ph, 2, 5, grid)), want)
+
+    def test_mutating_a_result_leaves_the_next_call(self, packet, phase):
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        cold = self._cold(packet, phase, 1, 3, t)
+        got = fractional_prediction(packet, phase, 1, 3, t)
+        got.clone_sum[:] = 0.0
+        got.shifted_order2[:] = 0.0
+        _assert_same_bits(_comparison(fractional_prediction(packet, phase, 1, 3, t)), cold)
+
+
+def _reference_phasors(lin, quad, offsets):
+    """exp(-2 pi i lin n) and exp(-2 pi i (lin n + quad n^2)), reduced mod 1 in Fractions."""
+    rows = [
+        [Fraction(lin) * int(n) % 1 for n in offsets],
+        [(Fraction(lin) * int(n) + Fraction(quad) * int(n) ** 2) % 1 for n in offsets],
+    ]
+    return np.exp(-2j * np.pi * np.array(rows, dtype=float))
+
+
+class TestShiftPhasors:
+    """A pair's shift folded into the weights, against exact rational phases."""
+
+    @pytest.mark.parametrize("offset", [8193, -8193, 12289, 10**6 + 7])
+    def test_lone_offset_beyond_2_13(self, offset):
+        offsets = np.array([offset])
+        rng = np.random.default_rng(offset % 97)
+        plain_errors = []
+        for lin, quad in rng.random((50, 2)):
+            want = _reference_phasors(lin, quad, offsets)
+            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets))
+            # a few roundings of a turn, times 2 pi
+            assert np.max(np.abs(got - want)) <= 3e-15, (lin, quad)
+            n = float(offset)
+            plain_errors.append(abs(np.exp(-2j * np.pi * ((lin * n + quad * n * n) % 1.0)) - want[1, 0]))
+        # the plain float product loses up to offset^2 ulp
+        assert max(plain_errors) > 1e-10
+
+    def test_largest_radius_at_h_1e_12(self):
+        # gamma' -> 0 gives the widest packet, |ln h| wide; radius 10 |ln h|
+        spec = PacketSpec(energy=0.0, gamma=1.0 - 1e-10, gamma_prime=1e-9, h=1e-12)
+        pk = build_coefficients(spec, 0)
+        assert pk.truncation_radius == math.ceil(10.0 * abs(math.log(1e-12))) == 277
+        offsets = np.asarray(pk.offsets, dtype=np.int64)
+        ph = PhaseData.synthetic(t_hyp=2.7, n_h=2**48 + 1, theta=Fraction(1, 3))
+        shifts = [dynamics._shift(ph, Fraction(p * ph.n_h, q)) for p, q in ((1, 3), (5, 7), (11, 24))]
+        for lin, quad in shifts + [(0.7071067811865476, 0.3183098861837907)]:
+            want = _reference_phasors(lin, quad, offsets)
+            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets))
+            assert np.max(np.abs(got - want)) <= 3e-15, (lin, quad)
 
 
 class TestFractional:

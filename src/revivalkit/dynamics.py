@@ -343,8 +343,10 @@ def default_beta(gamma: float) -> float:
 
 
 def check_time_scale(t, h: float, exponent: float) -> None:
-    """Refuse a time grid reaching past the approximant horizon |ln h|^exponent."""
+    """Refuse a time grid holding a NaN or reaching past the horizon |ln h|^exponent."""
     t_max = float(np.max(np.asarray(t), initial=-np.inf))
+    if math.isnan(t_max):
+        raise ParameterError("time grid holds a NaN")
     horizon = abs(math.log(h)) ** exponent
     if t_max > horizon * (1.0 + 1e-12):
         raise TimeScaleError(

@@ -60,12 +60,12 @@ def canonical_double_well() -> Potential:
     )
 
 
-def validate_saddle(potential: Potential, tol: float = 1e-12) -> None:
+def validate_saddle(potential: Potential) -> None:
     """Check the barrier-top normalization V(0)=0, V'(0)=0, V''(0)<0."""
     v0 = float(potential.evaluate(0.0))
     d0 = float(potential.first_derivative(0.0))
     c0 = float(potential.second_derivative(0.0))
-    if abs(v0) > tol or abs(d0) > tol:
+    if abs(v0) > SADDLE_TOL or abs(d0) > SADDLE_TOL:
         raise ParameterError(
             f"potential {potential.descriptor!r}: barrier top must sit at the "
             f"origin with V(0)=V'(0)=0 (got V(0)={v0:g}, V'(0)={d0:g})"
@@ -99,10 +99,10 @@ _Y4_W0 = -(2.0 ** (1.0 / 3.0)) * _Y4_W1
 _Y4_COEFFS = (_Y4_W1, _Y4_W0, _Y4_W1)
 
 
-# the orbit must close within CLOSURE_TOL * max(1, x0) of its start, by
-# FLOW_MAX_TIME; the energy drift, sampled every DRIFT_STRIDE steps and at
-# the return, must stay within FLOW_DRIFT_TOL
-CLOSURE_TOL, DRIFT_STRIDE = 1e-6, 64
+# V(0) and V'(0) must vanish within SADDLE_TOL; the orbit must close within
+# CLOSURE_TOL * max(1, x0) of its start, by FLOW_MAX_TIME; the energy drift,
+# sampled every DRIFT_STRIDE steps and at the return, within FLOW_DRIFT_TOL
+SADDLE_TOL, CLOSURE_TOL, DRIFT_STRIDE = 1e-12, 1e-6, 64
 FLOW_MAX_TIME, FLOW_DRIFT_TOL = 200.0, 1e-9
 
 

@@ -2,31 +2,33 @@
 
 The spectral model needs a continuous branch of arg Gamma(1/2 + iy) and
 the first three polygamma functions at complex arguments, Re z > 0.
-arg Gamma and digamma shift z by SHIFT with the recurrence
-Gamma(z + 1) = z Gamma(z) and add Stirling's series at z + SHIFT;
-trigamma and tetragamma are summed directly from their Hurwitz series
-with an asymptotic tail.  All four vectorize in numpy alone and are
-accurate to a few ulp of max(1, |value|) on the strip Re z = 1/2.
+All four take one method: shift z by SHIFT with the recurrence
+Gamma(z + 1) = z Gamma(z), and add Stirling's series or its derivative at
+w = z + SHIFT (DLMF 5.11, 5.15).  The four series' coefficients come from
+one table of Bernoulli numbers, each rounded once from its exact value.
+All four vectorize in numpy alone and are accurate to a few ulp of
+max(1, |value|) on the strip Re z = 1/2.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-_SERIES_TERMS = 16
-
-# asymptotic tails: trigamma(x) ~ 1/x + 1/(2x^2) + sum B_2j / x^(2j+1) ...
-_TRIGAMMA_TAIL = ((3, 1.0 / 6.0), (5, -1.0 / 30.0), (7, 1.0 / 42.0), (9, -1.0 / 30.0))
-_TETRAGAMMA_TAIL = ((4, -0.5), (6, 1.0 / 6.0), (8, -1.0 / 6.0), (10, 3.0 / 10.0))
-
-# Stirling's series at |w| >= SHIFT + 1/2, whose next terms are below 1e-16:
+# B_2 ... B_16.  At |w| >= SHIFT + 1/2 the next term of each series is
+# below 3e-16:
 #   log Gamma(w) ~ (w - 1/2) log w - w + log(2 pi)/2 + sum_j B_2j / (2j (2j-1) w^(2j-1))
 #   digamma(w)   ~ log w - 1/(2w) - sum_j B_2j / (2j w^(2j))
+#   trigamma(w)  ~ 1/w + 1/(2w^2) + sum_j B_2j / w^(2j+1)
+#   tetragamma(w) ~ -1/w^2 - 1/w^3 - sum_j (2j+1) B_2j / w^(2j+2)
+_BERNOULLI = tuple(Fraction(*b) for b in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+                                          (-691, 2730), (7, 6), (-3617, 510)))
 SHIFT = 8
-_LOGGAMMA_TAIL = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
-                  -3617 / 122400)
-_DIGAMMA_TAIL = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
-                 -3617 / 8160)
+_LOGGAMMA_TAIL = tuple(float(b / (2 * j * (2 * j - 1))) for j, b in enumerate(_BERNOULLI, 1))
+_DIGAMMA_TAIL = tuple(float(b / (2 * j)) for j, b in enumerate(_BERNOULLI, 1))
+_TRIGAMMA_TAIL = tuple(float(b) for b in _BERNOULLI)
+_TETRAGAMMA_TAIL = tuple(float(-(2 * j + 1) * b) for j, b in enumerate(_BERNOULLI, 1))
 
 
 def _even_series(s, coeffs):
@@ -75,27 +77,25 @@ def digamma(z):
 
 
 def trigamma(z):
-    """Trigamma at complex z with Re z > 0: sum over (z+k)^-2."""
+    """Trigamma at complex z with Re z > 0: trigamma(z + SHIFT) + sum_k (z + k)^-2."""
     z = np.asarray(z, dtype=complex)
-    k = np.arange(_SERIES_TERMS)
-    head = np.sum((z[..., None] + k) ** -2.0, axis=-1)
-    x = z + _SERIES_TERMS
-    tail = 1.0 / x + 0.5 / x**2
-    for p, c in _TRIGAMMA_TAIL:
-        tail += c / x**p
-    return head + tail
+    s = 1.0 / (z + SHIFT)
+    out = s + s * s * (0.5 + s * _even_series(s, _TRIGAMMA_TAIL))
+    for k in range(SHIFT):
+        r = 1.0 / (z + k)
+        out = out + r * r
+    return out
 
 
 def tetragamma(z):
-    """Third-order polygamma (derivative of trigamma) at complex z, Re z > 0."""
+    """Tetragamma at complex z with Re z > 0: tetragamma(z + SHIFT) - 2 sum_k (z + k)^-3."""
     z = np.asarray(z, dtype=complex)
-    k = np.arange(_SERIES_TERMS)
-    head = -2.0 * np.sum((z[..., None] + k) ** -3.0, axis=-1)
-    x = z + _SERIES_TERMS
-    tail = -1.0 / x**2 - 1.0 / x**3
-    for p, c in _TETRAGAMMA_TAIL:
-        tail += c / x**p
-    return head + tail
+    s = 1.0 / (z + SHIFT)
+    out = s * s * (s * (s * _even_series(s, _TETRAGAMMA_TAIL) - 1.0) - 1.0)
+    for k in range(SHIFT):
+        r = 1.0 / (z + k)
+        out = out - 2.0 * (r * r * r)
+    return out
 
 
 def arg_gamma_half_line(y):

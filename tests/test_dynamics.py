@@ -172,6 +172,14 @@ class TestOrder2:
         with pytest.raises(TimeScaleError):
             check_time_scale(np.array([1e9]), packet.spec.h, 3.0)
 
+    def test_nan_grid_is_refused(self, packet, phase):
+        # np.max propagates the NaN, and NaN > horizon is false
+        t = np.array([0.0, np.nan, 1e12])
+        for guarded in (lambda: check_time_scale(t, 1e-8, 3.0),
+                        lambda: order1(packet, phase, t), lambda: order2(packet, phase, t)):
+            with pytest.raises(ParameterError, match="NaN"):
+                guarded()
+
 
 def _split(a):
     t = 134217729.0 * a  # 2**27 + 1
@@ -340,6 +348,19 @@ class TestExactSeries:
         ladder = {int(n): 0.0 for n in packet.indices[:-3]}
         with pytest.raises(SupportError):
             exact_series(ladder, packet, np.array([0.0]))
+
+    @pytest.mark.parametrize("n_h", [21, 40])
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(2, 7)])
+    def test_equals_order2_on_a_quadratic_ladder(self, packet, n_h, theta):
+        # the approximants' convention: lambda_n = 2 pi a1 n + 2 pi^2 a2 n^2 at
+        # offset n, so order 2 is the exact series of an exactly quadratic ladder
+        ph = PhaseData.synthetic(t_hyp=math.pi, n_h=n_h, theta=theta)
+        n = packet.offsets.astype(float)
+        lam = 2.0 * math.pi * ph.a1 * n + 2.0 * math.pi**2 * ph.a2 * n * n
+        ladder = dict(zip(packet.indices.tolist(), lam))
+        t = np.linspace(0.0, 1.2 * ph.t_rev, 601)
+        diff = exact_series(ladder, packet, t) - order2_series(packet, ph, t)
+        assert np.max(np.abs(diff)) <= 1e-12
 
     def test_family_split_is_additive(self, packet):
         # mixing two families with weights p, 1-p splits r = p*a + (1-p)*b

@@ -159,9 +159,9 @@ def cmd_spectrum(args) -> int:
         manifest["model"] = _model_block(model, model.solve_families(), outdir)
     if args.backend in ("direct", "both"):
         manifest["direct"] = _direct_block(args.h, outdir)
-    plot = (("model_spectrum.csv", "4:3", "model") if "model" in manifest
-            else ("direct_spectrum.csv", "3:2", "direct"))
-    _write_run(outdir, manifest, f"spectral window at h={args.h:g}", [plot])
+    # each backend run draws index against lambda, so both share one set of axes
+    plots = [(f"{name}_spectrum.csv", "3:2", name) for name in ("model", "direct") if name in manifest]
+    _write_run(outdir, manifest, f"spectral window at h={args.h:g}", plots)
     return 0
 
 

@@ -12,14 +12,17 @@ take each sample's own phases, as one row of terms summed in blocks, in
 memory linear in the samples.
 
 A fractional revival's clone sum and its shifted order-2 series are taken
-at t's unshifted phases, with the pair's shift and clone coefficients in
-two weight columns.  On a uniform grid of T times, t[a B + b] = left[a] +
-right[b] with B = ceil(sqrt(T)), so each term is a product of three
-factors: its values at the two factor times, which do not depend on the
-pair, and the pair's weight.  The first two are tabulated at the
-~2 sqrt(T) factor samples and kept for the last phase, grid and offsets
-seen, so each pair is one small batched matrix product over the offsets.
-Any other grid is taken as one row of samples in blocks, and kept nowhere.
+at t's unshifted phases, with the pair's weights in two columns: the
+clone weights exp(-2 pi i p (n^2 mod q)/q), their phase exact in
+integers, and the shift's phases come from one exponential per offset
+(gausssum's FFT table serves the gauss command and the tests).  On a
+uniform grid of T times, t[a B + b] = left[a] + right[b] with
+B = ceil(sqrt(T)), so each term is a product of three factors: its values
+at the two factor times, which do not depend on the pair, and the pair's
+weight.  The first two are tabulated at the ~2 sqrt(T) factor samples and
+kept, with the grid test, for the last phase, grid and offsets seen, so
+each pair is one small batched matrix product over the offsets.  Any
+other grid is taken as one row of samples in blocks.
 """
 
 from __future__ import annotations
@@ -133,11 +136,6 @@ def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     return phases - np.floor(phases)
 
 
-def _uniform_head(start, stop, n: int):
-    """The first n - 1 of n uniform samples from start to stop, as np.linspace makes them."""
-    return np.arange(n - 1) * ((stop - start) / (n - 1)) + start
-
-
 def _row_length(t) -> int:
     """Length B of the rows that t splits into, t[a B + b] = left[a] + right[b].
 
@@ -149,7 +147,7 @@ def _row_length(t) -> int:
     (B = 1 without samples).
     """
     n = len(t)
-    if n > 2 and np.array_equal(t[:-1], _uniform_head(t[0], t[-1], n)):
+    if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
         return math.isqrt(n - 1) + 1
     return max(n, 1)
 
@@ -252,51 +250,66 @@ def _limbs(offsets):
     return np.stack([m - low, low], axis=1).astype(float)
 
 
-def _shift_phasors(lin: float, quad: float, limbs):
-    """exp(-2 pi i lin n) and exp(-2 pi i (lin n + quad n^2)) per offset, as two rows.
+def _shift_phasors(lin: float, quad: float, limbs, clone):
+    """The pair's two weight phasors per offset, from one exponential.
 
+    Row 0 is exp(-2 pi i (lin n + clone_n)), the shift and the clone
+    weights (``_clone_turns``) of the clone sum; row 1 is
+    exp(-2 pi i (lin n + quad n^2)), the shift of the order-2 series.
     lin and quad split into 26-bit halves and n, n^2 into limbs
     (``_limbs``), so that every partial product is exact and reduces mod 1
-    exactly; only the sum of the reduced products rounds, to a few ulp of
-    a turn at any offset, where lin n + quad n^2 in floats loses n^2 ulp.
+    exactly; only the sum of the reduced products and the clone turns
+    rounds, to a few ulp of a turn at any offset, where lin n + quad n^2
+    in floats loses n^2 ulp.
     """
     halves = np.array([_split(lin), _split(quad)])
     products = halves[:, :, None, None] * limbs[:, None]
     turns = (products - np.round(products)).sum(axis=(1, 2))
     turns[1] += turns[0]
+    turns[0] += clone
     return np.exp(-2j * np.pi * (turns - np.round(turns)))
 
 
-@functools.lru_cache(maxsize=1)
-def _factor_tables(key: bytes, n_samples: int, offsets: bytes):
-    """The pair-free factors of the clone comparison on a uniform grid.
+def _clone_turns(p: int, q: int, n2):
+    """Turns p (n^2 mod q)/q of the clone weights per offset, from n^2, in integers.
 
-    key holds the bits of a1, a2 and the grid's first and last samples;
-    with n_samples and the offsets' bytes they fix the tables, which are
-    built from these bits alone, so a memo hit gives what a miss gives.
-    One ``_terms`` run over the A + B factor samples, unshifted, gathered
-    at the offsets: left (2, A, N) and right (2, N, B), row 0 the x^n
-    terms of the clone sum, row 1 the order-2 terms; and the offsets'
-    ``_limbs``.  Read-only.
+    The weights, the length-ell FFT of b~ read at n mod ell, are the
+    sequence b~ came from, exp(-2 pi i p m^2/q) at m = n mod ell, and
+    m^2 = n^2 (mod q) for ell = q and for ell = q/2.
     """
-    a1, a2, start, stop = np.frombuffer(key).tolist()
+    return (p % q * (n2 % q)) % q / q
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_free(scale: bytes, grid: bytes, offsets: bytes):
+    """The pieces of the clone comparison that no p/q pair changes.
+
+    scale holds the bits of a1 and a2, grid and offsets the bytes of the
+    float64 times and the int64 offsets, so a memo hit is a grid equal to
+    the tabulated one to the bit, and gives what a miss gives.  Returns
+    n^2 per offset, the offsets' ``_limbs`` and, on a grid ``_row_length``
+    splits, the factor terms: one ``_terms`` run over the A + B factor
+    samples, unshifted, gathered at the offsets, as left (2, A, N) and
+    right (2, N, B), row 0 the x^n terms of the clone sum, row 1 the
+    order-2 terms.  Any other grid has None there.  Read-only.
+    """
+    t = np.frombuffer(grid)
     offsets = np.frombuffer(offsets, dtype=np.int64)
-    t = np.append(_uniform_head(start, stop, n_samples), stop)
+    pieces = [offsets * offsets, _limbs(offsets)]
     b = _row_length(t)
-    phase = PhaseData(a0=0.0, a1=a1, a2=a2)
-    n_left = len(t[::b])
-    phases = np.concatenate([_phases(phase, t[::b] - t[:1]), _phases(phase, t[:b])], axis=1)
-    dist = np.abs(offsets)
-    neg = (offsets < 0).astype(np.intp)
-    z = _terms(phases, 4, int(dist.max()))[dist, np.stack([2 + neg, neg])]
-    tables = (
-        np.ascontiguousarray(z[..., :n_left].swapaxes(1, 2)),
-        np.ascontiguousarray(z[..., n_left:]),
-        _limbs(offsets),
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    if b < len(t):
+        a1, a2 = np.frombuffer(scale).tolist()
+        phase = PhaseData(a0=0.0, a1=a1, a2=a2)
+        n_left = len(t[::b])
+        phases = np.concatenate([_phases(phase, t[::b] - t[:1]), _phases(phase, t[:b])], axis=1)
+        dist = np.abs(offsets)
+        neg = (offsets < 0).astype(np.intp)
+        z = _terms(phases, 4, int(dist.max()))[dist, np.stack([2 + neg, neg])]
+        pieces += [np.ascontiguousarray(z[..., :n_left].swapaxes(1, 2)),
+                   np.ascontiguousarray(z[..., n_left:])]
+    for piece in pieces:
+        piece.flags.writeable = False
+    return pieces[0], pieces[1], pieces[2:] or None
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
@@ -408,31 +421,29 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
 
     The clone sum is one order-1 sum: exp(-2 pi i (u + k/ell) n) factors
     into exp(-2 pi i u n) exp(-2 pi i k n/ell), so the clone coefficients
-    fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), the length-ell
-    FFT of b~ read at n mod ell.  The shift's phases fold into the weights
-    too (``_shift_phasors``), so both sums are taken at t's own unshifted
-    phases.  On a uniform grid each term is a product of three factors:
-    its values at the two factor times, kept per grid (``_factor_tables``),
-    and the pair's weight; each pair is then one batched product.  Any
-    other grid is taken as one row, in blocks.
+    fold into the weights w_n sum_k b~_k exp(-2 pi i k n/ell), which is
+    exp(-2 pi i p (n^2 mod q)/q), its phase exact in integers
+    (``_clone_turns``).  That phase and the shift's phases go into the
+    weights by one exponential (``_shift_phasors``), so both sums are
+    taken at t's own unshifted phases.  On a uniform grid each term is a
+    product of three factors: its values at the two factor times, kept
+    per grid with the grid test (``_pair_free``), and the pair's weight;
+    each pair is then one batched product.  Any other grid is taken as
+    one row, in blocks.
     """
-    from .gausssum import coefficients
+    from .gausssum import periodicity_set
 
-    coeffs = coefficients(p, q, int(packet.center))
+    ell = periodicity_set(p, q).generator
     offsets = np.asarray(packet.offsets, dtype=np.int64)
-    folded = packet.weights * np.fft.fft(coeffs.phased)[offsets % coeffs.ell]
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    uniform = _row_length(t) < len(t)
-    if uniform:
-        key = np.array([phase.a1, phase.a2, t[0], t[-1]]).tobytes()
-        left, right, limbs = _factor_tables(key, len(t), offsets.tobytes())
-    else:
-        limbs = _limbs(offsets)
+    scale = np.array([phase.a1, phase.a2]).tobytes()
+    n2, limbs, factors = _pair_free(scale, t.tobytes(), offsets.tobytes())
     # the clone weights, then the order-2 ones, each with the shift's phases
-    weights = _shift_phasors(*_shift(phase, Fraction(p * phase.n_h, q)), limbs)
-    weights[0] *= folded
-    weights[1] *= packet.weights
-    if uniform:
+    weights = _shift_phasors(*_shift(phase, Fraction(p * phase.n_h, q)), limbs,
+                             _clone_turns(p, q, n2))
+    weights *= packet.weights
+    if factors is not None:
+        left, right = factors
         clone, shifted = ((left * weights[:, None]) @ right).reshape(2, -1)[:, : len(t)]
     else:
         uv = _phases(phase, t)
@@ -440,6 +451,6 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
         shifted = _weighted_sum(weights[1], offsets, uv)
     sup = float(np.max(np.abs(clone - shifted), initial=0.0))
     return FractionalComparison(
-        p=p, q=q, ell=coeffs.ell, clone_sum=clone, shifted_order2=shifted,
+        p=p, q=q, ell=ell, clone_sum=clone, shifted_order2=shifted,
         sup_difference=sup,
     )

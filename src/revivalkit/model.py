@@ -352,6 +352,31 @@ class SpectralModel:
             raise NumericalError("tunneling angle too close to its endpoint")
         return _chain(ud, (-om**-0.5, -u * om**-1.5, -(1.0 + 2.0 * u * u) * om**-2.5))
 
+    def _tunneling_angle_slope(self, lam):
+        """The first of _tunneling_angle_derivatives, by the same arithmetic."""
+        c = np.pi / self.w
+        if self.potential.even:
+            az = np.abs(c * lam)
+            return 0.5 * c * (2.0 * np.exp(-az) / (1.0 + np.exp(-2.0 * az)))
+        q = np.exp(2.0 * c * lam)
+        s = (1.0 + q) ** -0.5
+        g = self._g(lam)
+        cg, sg = np.cos(g), np.sin(g)
+        cd = -sg * (self.table.diff.derivatives(lam * self.h)[0] / 2.0)
+        sd = -0.5 * s**3 * (q * (2.0 * c))
+        om = (q + sg * sg) / (1.0 + q)
+        if np.any(om < 1e-14):
+            raise NumericalError("tunneling angle too close to its endpoint")
+        return -om**-0.5 * (cd * s + cg * sd)
+
+    def _slope(self, lam, family: str):
+        """The first of _derivatives, by the same arithmetic: digamma alone, no higher chains."""
+        lam = self._check_domain(lam)
+        sign = {"alpha": -1.0, "beta": 1.0}[family]
+        w = self.w
+        d = -(self.table.total.derivatives(lam * self.h)[0] / 2.0) + np.real(digamma(0.5 + 1j * lam / w)) / w
+        return d + self.lnh / w + sign * self._tunneling_angle_slope(lam)
+
     def _derivatives(self, lam, family: str = "alpha"):
         """First three lambda-derivatives of one family's phase (y_h or z_h)."""
         lam = self._check_domain(lam)
@@ -421,7 +446,7 @@ class SpectralModel:
         reach = (n_side + 3) * TWO_PI
         guess = reach * self.w / abs(self.lnh)
         probe = np.clip(c + np.array([0.0, -guess, guess]), -lam_max, lam_max)
-        slope = np.abs(self._derivatives(probe, LADDER_FAMILY)[0])
+        slope = np.abs(self._slope(probe, LADDER_FAMILY))
         span = reach / np.minimum(slope[0], slope[1:])
         n_grid = max(4097, 16 * (2 * n_side + 8))
         while True:
@@ -452,7 +477,7 @@ class SpectralModel:
                 targets = TWO_PI * np.array(list(roots.keys()), dtype=float)
                 lams = np.array(list(roots.values()))
                 err = np.abs(self._phase(family)(lams) - targets)
-                step = np.spacing(np.abs(targets)) / np.abs(self._derivatives(lams, family)[0])
+                step = np.spacing(np.abs(targets)) / np.abs(self._slope(lams, family))
                 residual = max(residual, float(np.max(err)))
                 resolution = max(resolution, float(np.max(step)))
         return {"max_root_residual_rad": residual, "max_root_resolution_lambda": resolution}

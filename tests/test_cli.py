@@ -459,15 +459,17 @@ class TestConfigFile:
 @pytest.mark.parametrize(
     "argv, drawn",
     [
-        (["spectrum", "--h", "1e-3"], {"model": ("eigenvalue", "lambda")}),
+        (["spectrum", "--h", "1e-3"], {"model": ("lambda", "index")}),
         (["spectrum", "--h", "1e-2", "--backend", "direct"], {"direct": ("lambda", "index")}),
+        (["spectrum", "--h", "1e-2", "--backend", "both"],
+         {"model": ("lambda", "index"), "direct": ("lambda", "index")}),
         (["packet", "--h", "1e-4"], {"|a_n|^2": ("offset", "weight")}),
         (["evolve", "--h", "1e-4"],
          {"exact": ("t_over_thyp", "c_exact"), "order 1": ("t_over_thyp", "a1_abs")}),
         (["revival", "--h", "1e-8", "--E", "-0.5"], {"|order-2|": ("t_over_trev", "a2_abs")}),
         (["sweep", "--h", "1e-3,1e-4"], {"T_hyp vs |ln h|": ("log_scale", "t_hyp")}),
     ],
-    ids=["spectrum-model", "spectrum-direct", "packet", "evolve", "revival", "sweep"],
+    ids=["spectrum-model", "spectrum-direct", "spectrum-both", "packet", "evolve", "revival", "sweep"],
 )
 def test_plot_draws_the_columns_its_title_names(tmp_path, argv, drawn):
     # each clause "'file.csv' using x:y with lines title 'T'" maps x and y to the CSV header

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_gauss import quadratic_phase_sequence
 from peaks import NoPeaks, detect_peaks
 from revivalkit import dynamics
 from revivalkit.dynamics import (
@@ -449,11 +450,11 @@ def _assert_same_bits(got, want):
 
 
 class TestFactorMemo:
-    """The pair-free factor tables kept for the last phase, grid and offsets."""
+    """The pair-free pieces kept, with the grid test, for the last phase, grid and offsets."""
 
     @staticmethod
     def _cold(*args):
-        dynamics._factor_tables.cache_clear()
+        dynamics._pair_free.cache_clear()
         return _comparison(fractional_prediction(*args))
 
     def test_warm_call_equals_cold_call(self, packet, phase):
@@ -461,7 +462,7 @@ class TestFactorMemo:
         cold = self._cold(packet, phase, 3, 7, t)
         for p, q in ((1, 2), (3, 7)):
             warm = _comparison(fractional_prediction(packet, phase, p, q, t))
-        assert dynamics._factor_tables.cache_info().hits >= 2
+        assert dynamics._pair_free.cache_info().hits >= 2
         _assert_same_bits(warm, cold)
 
     def test_interleaved_calls_equal_their_cold_results(self, packet, phase):
@@ -497,6 +498,58 @@ class TestFactorMemo:
         got.shifted_order2[:] = 0.0
         _assert_same_bits(_comparison(fractional_prediction(packet, phase, 1, 3, t)), cold)
 
+    def test_interior_sample_one_ulp_off_is_no_stale_hit(self, packet, phase):
+        # same ends, same length, one interior sample moved: right after the
+        # uniform grid's entry, the moved grid still takes one row
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        moved = t.copy()
+        moved[300] = np.nextafter(moved[300], np.inf)
+        cold = self._cold(packet, phase, 2, 5, moved)
+        fractional_prediction(packet, phase, 2, 5, t)
+        got = _comparison(fractional_prediction(packet, phase, 2, 5, moved))
+        _assert_same_bits(got, cold)
+        weights = dynamics._shift_phasors(
+            *dynamics._shift(phase, Fraction(2 * phase.n_h, 5)),
+            dynamics._limbs(packet.offsets), dynamics._clone_turns(2, 5, packet.offsets**2),
+        ) * packet.weights
+        uv = _phases(phase, moved)
+        assert np.array_equal(got[0], _weighted_sum(weights[0], packet.offsets, uv[:1]))
+        assert np.array_equal(got[1], _weighted_sum(weights[1], packet.offsets, uv))
+
+
+class TestCloneWeights:
+    """The clone weights from their integer phase, against the FFT of the clone table."""
+
+    def test_integer_phase_equals_fft_of_the_table(self):
+        # every coprime p/q with q < 60 covers q = 0, 1, 2, 3 (mod 4), so
+        # ell = q/2 and ell = q alike.  The weights are the quadratic phase
+        # sequence (the recentred table does not depend on n0), reduced mod 1
+        # in Fractions, to rounding.  The FFT of the table carries its own
+        # round trip through ifft and fft, up to 2.1e-15 off that sequence
+        # (at 24/49), so it is matched to that rounding
+        n = np.arange(-300, 301, dtype=np.int64)
+        limbs = dynamics._limbs(n)
+        for p, q in _coprime_pairs(59):
+            got = dynamics._shift_phasors(0.0, 0.0, limbs, dynamics._clone_turns(p, q, n * n))[0]
+            exact = quadratic_phase_sequence(p, q, 0, n)
+            assert np.max(np.abs(got - exact)) <= 1e-15, (p, q)
+            for n0 in (0, 7, 10**6):
+                coeffs = coefficients(p, q, n0)
+                table = np.fft.fft(coeffs.phased)[n % coeffs.ell]
+                assert np.max(np.abs(got - table)) <= 2.5e-15, (p, q, n0)
+
+    def test_prediction_builds_no_clone_table(self, packet, phase, monkeypatch):
+        from revivalkit import gausssum
+
+        def refuse(*args):
+            raise AssertionError("fractional_prediction built a clone table")
+
+        monkeypatch.setattr(gausssum, "coefficients", refuse)
+        t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
+        for p, q in ((1, 3), (3, 8), (5, 12)):
+            cmp = fractional_prediction(packet, phase, p, q, t)
+            assert cmp.ell == (q // 2 if q % 4 == 0 else q)
+
 
 def _reference_phasors(lin, quad, offsets):
     """exp(-2 pi i lin n) and exp(-2 pi i (lin n + quad n^2)), reduced mod 1 in Fractions."""
@@ -517,7 +570,7 @@ class TestShiftPhasors:
         plain_errors = []
         for lin, quad in rng.random((50, 2)):
             want = _reference_phasors(lin, quad, offsets)
-            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets))
+            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets), 0.0)
             # a few roundings of a turn, times 2 pi
             assert np.max(np.abs(got - want)) <= 3e-15, (lin, quad)
             n = float(offset)
@@ -535,7 +588,7 @@ class TestShiftPhasors:
         shifts = [dynamics._shift(ph, Fraction(p * ph.n_h, q)) for p, q in ((1, 3), (5, 7), (11, 24))]
         for lin, quad in shifts + [(0.7071067811865476, 0.3183098861837907)]:
             want = _reference_phasors(lin, quad, offsets)
-            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets))
+            got = dynamics._shift_phasors(lin, quad, dynamics._limbs(offsets), 0.0)
             assert np.max(np.abs(got - want)) <= 3e-15, (lin, quad)
 
 

@@ -449,6 +449,20 @@ class TestDerivativeConsistency:
                 err = np.max(np.abs(got[order - 1] - want))
                 assert err <= 2e-14 * np.max(np.abs(want)), order
 
+    @pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-8, 1.27e-12])
+    def test_slope_is_the_first_derivative_to_the_bit(self, quartic, skewed, h):
+        # the ladder probe and the root resolution take the first derivative
+        # alone; out to the table's domain at h = 1e-2 the energies span
+        # several panels, whose series are padded to the longest order there
+        for potential in (quartic, skewed):
+            m = SpectralModel(potential, h)
+            reach = min(0.95 * m.table.delta / h, 10.0)
+            for lam in (np.linspace(-1.0, 1.0, 201), np.linspace(-reach, reach, 301),
+                        np.array([-0.4])):
+                for family in ("alpha", "beta"):
+                    want = m._derivatives(lam, family)[0]
+                    assert np.array_equal(m._slope(lam, family), want), (potential.descriptor, family)
+
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5
         z1 = float(model_1e4._derivatives(np.array([lam]), "beta")[0][0])
@@ -587,9 +601,9 @@ class TestLadderAndPhaseData:
         # short side is doubled until it holds n_side roots past the nearest
         m = SpectralModel(quartic, 1e-4)
         want = m.solve_ladder(-0.4, 15)
-        real = SpectralModel._derivatives
-        monkeypatch.setattr(SpectralModel, "_derivatives",
-                            lambda self, lam, family="alpha": [8.0 * d for d in real(self, lam, family)])
+        real = SpectralModel._slope
+        monkeypatch.setattr(SpectralModel, "_slope",
+                            lambda self, lam, family: 8.0 * real(self, lam, family))
         got = m.solve_ladder(-0.4, 15)
         assert got.keys() == want.keys()
         assert max(abs(got[k] - want[k]) for k in got) <= 1e-9

@@ -12,10 +12,11 @@ take each sample's own phases, as one row of terms summed in blocks, in
 memory linear in the samples.
 
 A fractional revival's clone sum and its shifted order-2 series are taken
-at t's unshifted phases, with the pair's weights in two columns: the
-clone weights exp(-2 pi i p (n^2 mod q)/q), their phase exact in
-integers, and the shift's phases come from one exponential per offset
-(gausssum's FFT table serves the gauss command and the tests).  On a
+at t's unshifted phases, with the pair's weights in two columns.  Both
+carry the shift's phases, and the clone column also the clone weights
+exp(-2 pi i p (n^2 mod q)/q), their phase exact in integers, so one
+exponential per offset gives both columns (gausssum's FFT table of the
+clone coefficients serves the gauss command and the tests).  On a
 uniform grid of T times, t[a B + b] = left[a] + right[b] with
 B = ceil(sqrt(T)), so each term is a product of three factors: its values
 at the two factor times, which do not depend on the pair, and the pair's
@@ -142,9 +143,8 @@ def _row_length(t) -> int:
     A uniform grid, t[j] = t[0] + j * step to the bit as np.linspace makes
     it (its last sample is the end point itself), takes B = ceil(sqrt(T)):
     about 2 sqrt(T) factor samples, left = t[::B] - t[0] and right = t[:B],
-    whose A x B sums cover t row by row and pad the last row.  Such a grid
-    is fixed by t[0], t[-1] and T.  Any other grid is one row, B = T
-    (B = 1 without samples).
+    whose A x B sums cover t row by row and pad the last row.  Any other
+    grid is one row, B = T (B = 1 without samples).
     """
     n = len(t)
     if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):

@@ -509,8 +509,8 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
         if len(ps) != len(qs):
             raise ConfigError("--p and --q must be given the same number of times")
         args.pq = list(zip(ps, qs))
-    if args.command == "evolve" and not args.periods > 0.0:
-        raise ConfigError(f"--periods must be positive, got {args.periods:g}")
+    if args.command == "evolve" and not 0.0 < args.periods < math.inf:
+        raise ConfigError(f"--periods must be finite and positive, got {args.periods:g}")
     if args.command == "gauss":
         if args.p is None or args.q is None:
             raise ConfigError("gauss requires --p and --q (flags or config file)")

@@ -16,14 +16,14 @@ at t's unshifted phases, with the pair's weights in two columns.  Both
 carry the shift's phases, and the clone column also the clone weights
 exp(-2 pi i p (n^2 mod q)/q), their phase exact in integers, so one
 exponential per offset gives both columns (gausssum's FFT table of the
-clone coefficients serves the gauss command and the tests).  On a
-uniform grid of T times, t[a B + b] = left[a] + right[b] with
-B = ceil(sqrt(T)), so each term is a product of three factors: its values
-at the two factor times, which do not depend on the pair, and the pair's
-weight.  The first two are tabulated at the ~2 sqrt(T) factor samples and
-kept, with the grid test, for the last phase, grid and offsets seen, so
-each pair is one small batched matrix product over the offsets.  Any
-other grid is taken as one row of samples in blocks.
+clone coefficients serves the gauss command and the tests).  The grid
+must be uniform, as np.linspace makes it: its T times split as
+t[a B + b] = left[a] + right[b] with B = ceil(sqrt(T)), so each term is a
+product of three factors: its values at the two factor times, which do
+not depend on the pair, and the pair's weight.  The first two are
+tabulated at the ~2 sqrt(T) factor samples and kept, with the grid test,
+for the last phase, grid and offsets seen, so each pair is one small
+batched matrix product over the offsets.
 """
 
 from __future__ import annotations
@@ -137,21 +137,6 @@ def _phases(phase: PhaseData, t, shift_hyp=0, shift_rev=0):
     return phases - np.floor(phases)
 
 
-def _row_length(t) -> int:
-    """Length B of the rows that t splits into, t[a B + b] = left[a] + right[b].
-
-    A uniform grid, t[j] = t[0] + j * step to the bit as np.linspace makes
-    it (its last sample is the end point itself), takes B = ceil(sqrt(T)):
-    about 2 sqrt(T) factor samples, left = t[::B] - t[0] and right = t[:B],
-    whose A x B sums cover t row by row and pad the last row.  Any other
-    grid is one row, B = T (B = 1 without samples).
-    """
-    n = len(t)
-    if n > 2 and np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
-        return math.isqrt(n - 1) + 1
-    return max(n, 1)
-
-
 def _split(a):
     """Veltkamp split a = hi + lo, each half carrying at most 26 significant bits."""
     t = 134217729.0 * a  # 2**27 + 1
@@ -181,27 +166,26 @@ def _unit_phasor(w):
     return np.exp(-1j * theta) * (1.0 - 1j * err)
 
 
-def _terms(phases, rows: int, reach: int):
-    """Terms for n = 0..reach at each sample, as (reach + 1, rows, samples).
+def _terms(phases, reach: int):
+    """Terms for n = 0..reach at each sample, as (reach + 1, 2, samples).
 
     phases holds u (and v) per sample.  With x = exp(-2 pi i u) and
     y = exp(-2 pi i v), rows 0 and 1 hold x^n y^(n^2) and conj(x)^n y^(n^2),
-    the terms of +n and -n; rows 2 and 3 (rows = 4) hold x^n and conj(x)^n.
-    The terms are running products z_{n+1} = z_n r_n from z_0 = 1, with
-    ratios r_{n+1} = r_n y^2 from r_0 = x y and conj(x) y (x and conj(x)
-    throughout on rows 2 and 3): three exponentials per sample, then
-    multiplies, each recurrence one accumulate over n.
+    the terms of +n and -n (x^n and conj(x)^n without v).  The terms are
+    running products z_{n+1} = z_n r_n from z_0 = 1, with ratios
+    r_{n+1} = r_n y^2 from r_0 = x y and conj(x) y: three exponentials per
+    sample, then multiplies, each recurrence one accumulate over n.
     """
     xy = np.exp(-2j * np.pi * phases)
-    z = np.empty((reach + 1, rows, xy.shape[1]), dtype=complex)
+    z = np.empty((reach + 1, 2, xy.shape[1]), dtype=complex)
     z[0] = 1.0
     ratios = z[1:]
-    ratios[:, ::2] = xy[0]
-    ratios[:, 1::2] = np.conj(xy[0])
+    ratios[:, 0] = xy[0]
+    ratios[:, 1] = np.conj(xy[0])
     if len(phases) > 1:
-        ratios[:1, :2] *= xy[1]
-        ratios[1:, :2] = _unit_phasor((2.0 * phases[1]) % 1.0)
-        np.multiply.accumulate(ratios[:, :2], axis=0, out=ratios[:, :2])
+        ratios[:1] *= xy[1]
+        ratios[1:] = _unit_phasor((2.0 * phases[1]) % 1.0)
+        np.multiply.accumulate(ratios, axis=0, out=ratios)
     return np.multiply.accumulate(z, axis=0, out=z)
 
 
@@ -228,7 +212,7 @@ def _weighted_sum(weights, offsets, phases):
     out = np.empty(phases.shape[1], dtype=complex)
     step = max(1, _BLOCK_TERMS // (2 * (reach + 1)))
     for s in range(0, len(out), step):
-        z = _terms(phases[:, s : s + step], 2, reach)
+        z = _terms(phases[:, s : s + step], reach)
         z *= ladder
         out[s : s + step] = z.sum(axis=(0, 1))
     return out
@@ -286,30 +270,34 @@ def _pair_free(scale: bytes, grid: bytes, offsets: bytes):
 
     scale holds the bits of a1 and a2, grid and offsets the bytes of the
     float64 times and the int64 offsets, so a memo hit is a grid equal to
-    the tabulated one to the bit, and gives what a miss gives.  Returns
-    n^2 per offset, the offsets' ``_limbs`` and, on a grid ``_row_length``
-    splits, the factor terms: one ``_terms`` run over the A + B factor
-    samples, unshifted, gathered at the offsets, as left (2, A, N) and
-    right (2, N, B), row 0 the x^n terms of the clone sum, row 1 the
-    order-2 terms.  Any other grid has None there.  Read-only.
+    the tabulated one to the bit, and gives what a miss gives.  The grid
+    must be uniform to the bit, t[j] = t[0] + j * step as np.linspace
+    makes it, and splits as t[a B + b] = left[a] + right[b] with
+    B = ceil(sqrt(T)), left = t[::B] - t[0] and right = t[:B], whose A x B
+    sums cover t row by row and pad the last row.  Returns n^2 per offset,
+    the offsets' ``_limbs`` and the factor terms, unshifted, gathered at
+    the offsets, as left (2, A, N) and right (2, N, B): row 0 the x^n
+    terms of the clone sum, row 1 the order-2 terms.  Read-only.
     """
     t = np.frombuffer(grid)
+    n = len(t)
+    if n > 2 and not np.array_equal(t[:-1], np.arange(n - 1) * ((t[-1] - t[0]) / (n - 1)) + t[0]):
+        raise ParameterError("the clone comparison takes a uniform grid, as np.linspace makes it")
     offsets = np.frombuffer(offsets, dtype=np.int64)
-    pieces = [offsets * offsets, _limbs(offsets)]
-    b = _row_length(t)
-    if b < len(t):
-        a1, a2 = np.frombuffer(scale).tolist()
-        phase = PhaseData(a0=0.0, a1=a1, a2=a2)
-        n_left = len(t[::b])
-        phases = np.concatenate([_phases(phase, t[::b] - t[:1]), _phases(phase, t[:b])], axis=1)
-        dist = np.abs(offsets)
-        neg = (offsets < 0).astype(np.intp)
-        z = _terms(phases, 4, int(dist.max()))[dist, np.stack([2 + neg, neg])]
-        pieces += [np.ascontiguousarray(z[..., :n_left].swapaxes(1, 2)),
-                   np.ascontiguousarray(z[..., n_left:])]
+    a1, a2 = np.frombuffer(scale).tolist()
+    phase = PhaseData(a0=0.0, a1=a1, a2=a2)
+    b = math.isqrt(max(n - 1, 0)) + 1
+    n_left = len(t[::b])
+    phases = np.concatenate([_phases(phase, t[::b] - t[:1]), _phases(phase, t[:b])], axis=1)
+    dist = np.abs(offsets)
+    neg = (offsets < 0).astype(np.intp)
+    z = np.stack([_terms(uv, int(dist.max()))[dist, neg] for uv in (phases[:1], phases)])
+    pieces = (offsets * offsets, _limbs(offsets),
+              np.ascontiguousarray(z[..., :n_left].swapaxes(1, 2)),
+              np.ascontiguousarray(z[..., n_left:]))
     for piece in pieces:
         piece.flags.writeable = False
-    return pieces[0], pieces[1], pieces[2:] or None
+    return pieces
 
 
 def order1_series(packet, phase: PhaseData, t, shift_hyp=0):
@@ -356,10 +344,12 @@ def default_beta(gamma: float) -> float:
 
 
 def check_time_scale(t, h: float, exponent: float) -> None:
-    """Refuse a time grid holding a NaN or reaching past the horizon |ln h|^exponent."""
+    """Refuse a NaN grid or exponent, or a grid reaching past the horizon |ln h|^exponent."""
     t_max = float(np.max(np.asarray(t), initial=-np.inf))
     if math.isnan(t_max):
         raise ParameterError("time grid holds a NaN")
+    if math.isnan(exponent):
+        raise ParameterError("horizon exponent is NaN")
     horizon = abs(math.log(h)) ** exponent
     if t_max > horizon * (1.0 + 1e-12):
         raise TimeScaleError(
@@ -425,11 +415,11 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     exp(-2 pi i p (n^2 mod q)/q), its phase exact in integers
     (``_clone_turns``).  That phase and the shift's phases go into the
     weights by one exponential (``_shift_phasors``), so both sums are
-    taken at t's own unshifted phases.  On a uniform grid each term is a
+    taken at t's own unshifted phases.  t must be uniform, as np.linspace
+    makes it (any other grid raises ParameterError), so each term is a
     product of three factors: its values at the two factor times, kept
     per grid with the grid test (``_pair_free``), and the pair's weight;
-    each pair is then one batched product.  Any other grid is taken as
-    one row, in blocks.
+    each pair is then one batched product.
     """
     from .gausssum import periodicity_set
 
@@ -437,18 +427,12 @@ def fractional_prediction(packet, phase: PhaseData, p: int, q: int, t):
     offsets = np.asarray(packet.offsets, dtype=np.int64)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     scale = np.array([phase.a1, phase.a2]).tobytes()
-    n2, limbs, factors = _pair_free(scale, t.tobytes(), offsets.tobytes())
+    n2, limbs, left, right = _pair_free(scale, t.tobytes(), offsets.tobytes())
     # the clone weights, then the order-2 ones, each with the shift's phases
     weights = _shift_phasors(*_shift(phase, Fraction(p * phase.n_h, q)), limbs,
                              _clone_turns(p, q, n2))
     weights *= packet.weights
-    if factors is not None:
-        left, right = factors
-        clone, shifted = ((left * weights[:, None]) @ right).reshape(2, -1)[:, : len(t)]
-    else:
-        uv = _phases(phase, t)
-        clone = _weighted_sum(weights[0], offsets, uv[:1])
-        shifted = _weighted_sum(weights[1], offsets, uv)
+    clone, shifted = ((left * weights[:, None]) @ right).reshape(2, -1)[:, : len(t)]
     sup = float(np.max(np.abs(clone - shifted), initial=0.0))
     return FractionalComparison(
         p=p, q=q, ell=ell, clone_sum=clone, shifted_order2=shifted,

@@ -260,11 +260,13 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "argv, config",
-        [(["--periods", "0"], None), (["--periods", "-1"], None), ([], {"periods": -1})],
-        ids=["0", "-1", "config-1"],
+        [(["--periods", "0"], None), (["--periods", "-1"], None), ([], {"periods": -1}),
+         (["--periods", "inf"], None)],
+        ids=["0", "-1", "config-1", "inf"],
     )
     def test_nonpositive_periods_is_config_error(self, tmp_path, capsys, argv, config):
-        # a grid on [0, periods * T_hyp] with periods <= 0 has no forward time
+        # a grid on [0, periods * T_hyp] with periods <= 0 has no forward time,
+        # and periods = inf no sample count (int(HYPERBOLIC_SAMPLES * inf) overflows)
         argv = ["evolve", "--h", "1e-3"] + argv
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -310,6 +312,18 @@ class TestRevival:
         assert code == 2
         err = capsys.readouterr().err
         assert "ParameterError" in err and "gamma < 1/3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--h", "1e-6", "--alpha", "nan"], ["revival", "--h", "1e-8", "--E", "-0.5", "--beta", "nan"]],
+    ids=["alpha", "beta"],
+)
+def test_nan_horizon_exponent_is_parameter_error(tmp_path, capsys, argv):
+    # a NaN exponent would pass the time-scale guard and write NaN into manifest.json
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "ParameterError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, gammas", [("revival", (0.3, 0.8)), ("evolve", (0.9, 0.2))])

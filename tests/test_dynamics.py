@@ -16,7 +16,6 @@ from revivalkit import dynamics
 from revivalkit.dynamics import (
     PhaseData,
     _phases,
-    _row_length,
     _weighted_sum,
     check_time_scale,
     default_alpha,
@@ -181,6 +180,16 @@ class TestOrder2:
             with pytest.raises(ParameterError, match="NaN"):
                 guarded()
 
+    def test_nan_exponent_is_refused(self, packet, phase):
+        # |ln h|^NaN is NaN, and t_max > NaN is false for any grid
+        t = np.array([0.0, 1e12])
+        nan = float("nan")
+        for guarded in (lambda: check_time_scale(t, 1e-8, nan),
+                        lambda: order1(packet, phase, t, alpha=nan),
+                        lambda: order2(packet, phase, t, beta=nan)):
+            with pytest.raises(ParameterError, match="NaN"):
+                guarded()
+
 
 def _split(a):
     t = 134217729.0 * a  # 2**27 + 1
@@ -216,6 +225,13 @@ def _random_packet(layout: str, n_offsets: int, rng):
     return SimpleNamespace(weights=weights / np.sum(np.abs(weights)), offsets=offsets, center=0)
 
 
+def _factor_shapes(packet, phase, t):
+    """The shapes of the clone comparison's left and right factor terms on grid t."""
+    scale = np.array([phase.a1, phase.a2]).tobytes()
+    offsets = np.asarray(packet.offsets, dtype=np.int64).tobytes()
+    return [f.shape for f in dynamics._pair_free(scale, t.tobytes(), offsets)[2:]]
+
+
 class TestWeightedSum:
     """The split recurrence against the matrix of exponentials it replaces."""
 
@@ -240,6 +256,9 @@ class TestWeightedSum:
         rng = np.random.default_rng(n_samples)
         pk = _random_packet(layout, 41, rng)
         p, q = 2, 5
+        # every grid, one or two samples too, splits with B = ceil(sqrt(T)), A = ceil(T / B)
+        b, n = math.ceil(math.sqrt(n_samples)), len(pk.offsets)
+        shapes = [(2, -(-n_samples // b), n), (2, n, b)]
         coeffs = coefficients(p, q, pk.center)
         folded = pk.weights * np.fft.fft(coeffs.phased)[pk.offsets % coeffs.ell]
         phases = [
@@ -249,24 +268,22 @@ class TestWeightedSum:
         for ph in phases:
             for start, stop in ((-1.0, 2.0), (2.0, -1.0), (1.3, 1.3)):
                 t = np.linspace(start * ph.t_hyp, stop * ph.t_hyp, n_samples)
-                # past two samples the grid takes its split, not one row
-                assert _row_length(t) < len(t) or n_samples <= 2
                 u, v = _phases(ph, t, Fraction(p * ph.n_h, q))
                 got = fractional_prediction(pk, ph, p, q, t)
+                assert _factor_shapes(pk, ph, t) == shapes
                 err1 = np.abs(got.clone_sum - _reference_sum(folded, pk.offsets, u))
                 err2 = np.abs(got.shifted_order2 - _reference_sum(pk.weights, pk.offsets, u, v))
                 assert np.max(err1) <= 1e-13, (start, stop)
                 assert np.max(err2) <= 1e-12, (start, stop)
 
-    def test_one_ulp_off_uniform_takes_one_row(self, packet, phase):
+    def test_non_uniform_grid_is_refused(self, packet, phase):
+        # one interior sample an ulp off np.linspace's, and a t^1.5 grid
         t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
         moved = t.copy()
         moved[300] = np.nextafter(moved[300], np.inf)
-        assert _row_length(t) == 23
-        assert _row_length(moved) == 512
-        split, one_row = (fractional_prediction(packet, phase, 1, 3, grid) for grid in (t, moved))
-        assert np.max(np.abs(one_row.clone_sum - split.clone_sum)) <= 1e-14
-        assert np.max(np.abs(one_row.shifted_order2 - split.shifted_order2)) <= 1e-14
+        for grid in (moved, t**1.5):
+            with pytest.raises(ParameterError, match="uniform"):
+                fractional_prediction(packet, phase, 1, 3, grid)
 
     @pytest.mark.parametrize("ratio", ["exact", "float"])
     def test_long_uniform_grid_keeps_each_samples_phases(self, packet, phase, ratio):
@@ -294,7 +311,6 @@ class TestWeightedSum:
 
     def test_blocks_of_one_row_match_one_block(self, packet, phase, monkeypatch):
         t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 1000)[::-1] ** 1.5
-        assert _row_length(t) == len(t)
         whole = order2_series(packet, phase, t)
         monkeypatch.setattr(dynamics, "_BLOCK_TERMS", 1000)
         blocks = order2_series(packet, phase, t)
@@ -309,7 +325,6 @@ class TestWeightedSum:
         assert len(pk.offsets) == 201
         ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
         t = np.linspace(0.0, 1000.0 * math.pi, 200_000)
-        assert _row_length(t) == 448
         tracemalloc.start()
         try:
             order2_series(pk, ph, t)
@@ -318,24 +333,7 @@ class TestWeightedSum:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-
-    def test_one_row_memory_is_linear_in_samples(self):
-        # the same grid with one sample moved is one row of 200 000 samples,
-        # taken in blocks; the clone comparison tabulates no factors for it
-        spec = PacketSpec(energy=0.0, gamma=0.3, gamma_prime=0.8, h=1e-6)
-        pk = build_coefficients(spec, 137, radius_factor=100.0 / spec.width)
-        ph = PhaseData.synthetic(t_hyp=math.pi, n_h=2**48 + 1, theta=Fraction(0))
-        t = np.linspace(0.0, 1000.0 * math.pi, 200_000)
-        t[1] = np.nextafter(t[1], 0.0)
-        assert _row_length(t) == len(t)
-        tracemalloc.start()
-        try:
-            order2_series(pk, ph, t)
-            fractional_prediction(pk, ph, 1, 3, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
+        assert _factor_shapes(pk, ph, t) == [(2, 447, 201), (2, 201, 448)]
 
 
 class TestExactSeries:
@@ -476,7 +474,8 @@ class TestFactorMemo:
         other_phase = PhaseData.synthetic(t_hyp=math.pi, n_h=21, theta=Fraction(1, 3))
         t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
         t_ulp = np.linspace(0.0, np.nextafter(t[-1], np.inf), 512)
-        assert _row_length(t) == _row_length(t_ulp) == 23
+        n = len(packet.offsets)
+        assert _factor_shapes(packet, phase, t) == _factor_shapes(packet, phase, t_ulp) == [(2, 23, n), (2, n, 23)]
         cases = {
             "weights": ((packet, phase, t), (reweighted, phase, t)),
             "offsets": ((packet, phase, t), (moved, phase, t)),
@@ -500,21 +499,16 @@ class TestFactorMemo:
 
     def test_interior_sample_one_ulp_off_is_no_stale_hit(self, packet, phase):
         # same ends, same length, one interior sample moved: right after the
-        # uniform grid's entry, the moved grid still takes one row
+        # uniform grid's entry, the moved grid is still refused, and the
+        # entry still gives the uniform grid's cold result
         t = np.linspace(0.0, 2.0 * abs(phase.t_hyp), 512)
         moved = t.copy()
         moved[300] = np.nextafter(moved[300], np.inf)
-        cold = self._cold(packet, phase, 2, 5, moved)
-        fractional_prediction(packet, phase, 2, 5, t)
-        got = _comparison(fractional_prediction(packet, phase, 2, 5, moved))
-        _assert_same_bits(got, cold)
-        weights = dynamics._shift_phasors(
-            *dynamics._shift(phase, Fraction(2 * phase.n_h, 5)),
-            dynamics._limbs(packet.offsets), dynamics._clone_turns(2, 5, packet.offsets**2),
-        ) * packet.weights
-        uv = _phases(phase, moved)
-        assert np.array_equal(got[0], _weighted_sum(weights[0], packet.offsets, uv[:1]))
-        assert np.array_equal(got[1], _weighted_sum(weights[1], packet.offsets, uv))
+        cold = self._cold(packet, phase, 2, 5, t)
+        with pytest.raises(ParameterError, match="uniform"):
+            fractional_prediction(packet, phase, 2, 5, moved)
+        _assert_same_bits(_comparison(fractional_prediction(packet, phase, 2, 5, t)), cold)
+        assert dynamics._pair_free.cache_info().hits == 1
 
 
 class TestCloneWeights:

@@ -145,7 +145,7 @@ def _direct_block(h: float, outdir: Path) -> dict:
         "halfwidth": op.halfwidth,
         "wall_decay": op.wall_decay,
         "max_relative_residual": float(
-            np.max(residuals, initial=0.0) / np.max(np.abs(op.matrix.diagonal()))
+            np.max(residuals, initial=0.0) / np.max(np.abs(op.bands[0]))
         ),
         "mean_gap_pooled": float(np.mean(spectrum.gaps())) if len(vals) > 1 else None,
     }

@@ -5,6 +5,10 @@ window solve: LAPACK bisection for a tridiagonal block, an inertia-counted
 shift-invert Lanczos solve for a wider band.  Serves as the independent
 cross-check of the spectral model.
 
+The operator is held as its bands, diagonal first, as discretize builds
+them; the window solve reads only those.  The sparse matrix is assembled
+on its first read, for a caller that takes residuals.
+
 An even potential's operator commutes with the reflection x -> -x, so its
 window is solved in two half-size blocks, folded in O(n) from the
 operator's bands about the centre node x = 0: the even block (the model's
@@ -24,6 +28,7 @@ change no window eigenpair beyond rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,14 +52,21 @@ STENCILS = {2: (1.0, (2.0, -1.0)), 4: (12.0, (30.0, -16.0, 1.0))}
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
+    """The symmetric grid operator, held as its bands: bands[o] couples node i to i + o."""
+
     potential: Potential
     h: float
     grid: np.ndarray
     dx: float
     order: int
-    matrix: sp.spmatrix
+    bands: list[np.ndarray]  # diagonal first, order // 2 + 1 of them
     halfwidth: float  # the kept Dirichlet wall
     wall_decay: float  # Agmon distance at the wall over h, the smaller side
+
+    @functools.cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """The sparse matrix of the bands, built on first read."""
+        return _banded(self.bands)
 
 
 def resolution_bound(potential: Potential, h: float) -> float:
@@ -124,7 +136,7 @@ def discretize(
     bands = [np.full(n - o, w * k / den) for o, w in enumerate(weights)]
     bands[0] += v
     return DiscretizedOperator(
-        potential=potential, h=h, grid=x, dx=dx, order=order, matrix=_banded(bands),
+        potential=potential, h=h, grid=x, dx=dx, order=order, bands=bands,
         halfwidth=halfwidth, wall_decay=wall_decay,
     )
 
@@ -197,7 +209,7 @@ def _parity_blocks(op: DiscretizedOperator) -> list[tuple[str, list[np.ndarray]]
     (i >= 1), coupled across the centre by band 2i + o, add that coupling's
     mean with its mirror to band o at block row i (even) or subtract it (odd).
     """
-    bands = [op.matrix.diagonal(o) for o in range(op.order // 2 + 1)]
+    bands = op.bands
     if not op.potential.even:
         return [("n/a", bands)]
     n, c = len(bands[0]), len(bands[0]) // 2
@@ -269,7 +281,7 @@ def window_spectrum(op: DiscretizedOperator) -> WindowedSpectrum:
     a block; shift-invert about its midpoint 0, through a band-ordered LU,
     finds exactly its k eigenvalues.
     """
-    h, n = op.h, op.matrix.shape[0]
+    h, n = op.h, len(op.grid)
     vals, vecs, parities = [], [], []
     for parity, bands in _parity_blocks(op):
         try:

@@ -344,12 +344,15 @@ def default_beta(gamma: float) -> float:
 
 
 def check_time_scale(t, h: float, exponent: float) -> None:
-    """Refuse a NaN grid or exponent, or a grid reaching past the horizon |ln h|^exponent."""
+    """Refuse a NaN grid, a non-finite exponent, or a grid reaching past the horizon |ln h|^exponent."""
     t_max = float(np.max(np.asarray(t), initial=-np.inf))
     if math.isnan(t_max):
         raise ParameterError("time grid holds a NaN")
     if math.isnan(exponent):
         raise ParameterError("horizon exponent is NaN")
+    if math.isinf(exponent):
+        # |ln h|^inf is no horizon: no grid would reach past it
+        raise ParameterError(f"horizon exponent is {exponent:g}, not finite")
     horizon = abs(math.log(h)) ** exponent
     if t_max > horizon * (1.0 + 1e-12):
         raise TimeScaleError(

@@ -26,6 +26,19 @@ def window_1e4(model_1e4):
 
 
 @pytest.fixture(scope="session")
+def skewed():
+    """V = x^4 + 0.2 x^3 - x^2: a non-degenerate barrier top at 0, no reflection symmetry."""
+    return Potential(
+        evaluate=lambda x: x**4 + 0.2 * x**3 - x**2,
+        first_derivative=lambda x: 4.0 * x**3 + 0.6 * x**2 - 2.0 * x,
+        second_derivative=lambda x: 12.0 * x**2 + 1.2 * x - 2.0,
+        descriptor="skewed",
+        domain_halfwidth=3.0,
+        even=False,
+    )
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
 

@@ -316,11 +316,14 @@ class TestRevival:
 
 @pytest.mark.parametrize(
     "argv",
-    [["evolve", "--h", "1e-6", "--alpha", "nan"], ["revival", "--h", "1e-8", "--E", "-0.5", "--beta", "nan"]],
-    ids=["alpha", "beta"],
+    [["evolve", "--h", "1e-6", "--alpha", "nan"], ["revival", "--h", "1e-8", "--E", "-0.5", "--beta", "nan"],
+     ["evolve", "--h", "1e-6", "--alpha", "inf"],
+     ["revival", "--h", "1e-8", "--E", "-0.5", "--p", "1", "--q", "3", "--beta", "inf"]],
+    ids=["alpha", "beta", "alpha-inf", "beta-inf"],
 )
 def test_nan_horizon_exponent_is_parameter_error(tmp_path, capsys, argv):
-    # a NaN exponent would pass the time-scale guard and write NaN into manifest.json
+    # a NaN or infinite exponent would pass the time-scale guard and write NaN or
+    # Infinity, neither of them JSON, into manifest.json
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "ParameterError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

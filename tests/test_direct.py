@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from revivalkit.direct import (
     AGMON_DECAY,
@@ -69,12 +68,10 @@ def full_operator(potential, h, order, L=None):
     dx = float(x[1] - x[0])
     n, k, v = len(x), h * h / (2.0 * dx * dx), potential.evaluate(x)
     if order == 2:
-        bands = [np.full(n - 1, -k), 2.0 * k + v, np.full(n - 1, -k)]
+        bands = [2.0 * k + v, np.full(n - 1, -k)]
     else:
-        bands = [np.full(n - 2, k / 12.0), np.full(n - 1, -16.0 * k / 12.0), 30.0 * k / 12.0 + v,
-                 np.full(n - 1, -16.0 * k / 12.0), np.full(n - 2, k / 12.0)]
-    mat = sp.diags(bands, range(-(order // 2), order // 2 + 1), format="csc")
-    return DiscretizedOperator(potential=potential, h=h, grid=x, dx=dx, order=order, matrix=mat,
+        bands = [30.0 * k / 12.0 + v, np.full(n - 1, -16.0 * k / 12.0), np.full(n - 2, k / 12.0)]
+    return DiscretizedOperator(potential=potential, h=h, grid=x, dx=dx, order=order, bands=bands,
                                halfwidth=L, wall_decay=math.nan)
 
 
@@ -136,6 +133,40 @@ class TestDiscretize:
             vals[L] = window_spectrum(op).eigenvalues
         assert len(vals[3.0]) == len(vals[6.0])
         assert np.max(np.abs(vals[3.0] - vals[6.0])) <= 1e-12
+
+
+class TestBands:
+    """The operator is its bands; the sparse matrix is built from them on first read only."""
+
+    H = 5e-2
+
+    @pytest.fixture(scope="class", params=[(w, o) for w in ("quartic", "tilted") for o in (2, 4)],
+                    ids=lambda p: f"{p[0]}-order{p[1]}")
+    def op(self, request):
+        well, order = request.param
+        potential = canonical_double_well() if well == "quartic" else tilted_well()
+        return discretize(potential, self.H, order=order)
+
+    def test_matrix_is_the_bands(self, op):
+        assert len(op.bands) == op.order // 2 + 1
+        dense = np.diag(op.bands[0]) + sum(np.diag(b, o) + np.diag(b, -o) for o, b in enumerate(op.bands) if o)
+        assert np.array_equal(op.matrix.toarray(), dense)
+        assert op.matrix is op.matrix
+
+    def test_bands_are_the_matrix_diagonals(self, op):
+        # what _parity_blocks folds: the bands it used to read back from the matrix
+        assert all(np.array_equal(b, op.matrix.diagonal(o)) for o, b in enumerate(op.bands))
+        if not op.potential.even:
+            ((parity, bands),) = _parity_blocks(op)
+            assert parity == "n/a" and bands is op.bands
+
+    @pytest.mark.parametrize("well", ["quartic", "tilted"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_window_solve_builds_no_matrix(self, well, order):
+        potential = canonical_double_well() if well == "quartic" else tilted_well()
+        op = discretize(potential, self.H, order=order)
+        assert len(window_spectrum(op).eigenvalues) > 0
+        assert "matrix" not in vars(op)
 
 
 class TestDomainCut:
@@ -347,8 +378,8 @@ class TestDenseReference:
         weights = np.array([14350.0, -8064.0, 1008.0, -128.0, 9.0]) / 5040.0
         bands = [np.full(n - o, w * k) for o, w in enumerate(weights)]
         bands[0] += canonical_double_well().evaluate(op.grid)
-        mat = sp.diags(bands[:0:-1] + bands, range(-4, 5), format="csc")
-        op = dataclasses.replace(op, order=8, matrix=mat)
+        op = dataclasses.replace(op, order=8, bands=bands)
+        mat = op.matrix
         scale = np.max(np.abs(bands[0]))
         bases = reflection_bases(n)
         for parity, block in _parity_blocks(op):

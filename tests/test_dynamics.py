@@ -190,6 +190,16 @@ class TestOrder2:
             with pytest.raises(ParameterError, match="NaN"):
                 guarded()
 
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf])
+    def test_infinite_exponent_is_refused(self, packet, phase, exponent):
+        # |ln h|^inf is inf, so no grid reaches past it; |ln h|^-inf is 0
+        t = np.array([0.0, 1e12])
+        for guarded in (lambda: check_time_scale(t, 1e-8, exponent),
+                        lambda: order1(packet, phase, t, alpha=exponent),
+                        lambda: order2(packet, phase, t, beta=exponent)):
+            with pytest.raises(ParameterError, match="not finite"):
+                guarded()
+
 
 def _split(a):
     t = 134217729.0 * a  # 2**27 + 1

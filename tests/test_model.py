@@ -31,7 +31,6 @@ from revivalkit.model import (
     select_alpha_near,
 )
 from revivalkit.packet import RADIUS_FACTOR, PacketSpec, select_centers
-from revivalkit.potential import Potential
 from revivalkit.util import linear_fit
 
 TWO_PI = 2.0 * math.pi
@@ -44,19 +43,6 @@ ROOT_SUM_DIFF_BOUND = 5e-12  # in lambda
 # 2.4e-13 (sum) and 4.8e-16, 1.7e-14, 3.1e-13, 2.1e-13 (difference, whose slope
 # is small against its coefficients, so its float64 reference is noisier)
 PANEL_BOUND = {"total": (1e-15, 1e-15, 5e-13, 5e-13), "diff": (1e-15, 5e-14, 5e-13, 5e-13)}
-
-
-@pytest.fixture(scope="module")
-def skewed():
-    """V = x^4 + 0.2 x^3 - x^2: a non-degenerate barrier top at 0, no reflection symmetry."""
-    return Potential(
-        evaluate=lambda x: x**4 + 0.2 * x**3 - x**2,
-        first_derivative=lambda x: 4.0 * x**3 + 0.6 * x**2 - 2.0 * x,
-        second_derivative=lambda x: 12.0 * x**2 + 1.2 * x - 2.0,
-        descriptor="skewed",
-        domain_halfwidth=3.0,
-        even=False,
-    )
 
 
 def _scalar_solve_on(self, func, lam_lo, lam_hi, n_grid=4097):

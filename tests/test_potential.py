@@ -78,9 +78,30 @@ class TestCanonicalWell:
         with pytest.raises(ParameterError):
             validate_saddle(harmonic_well())
 
+    def test_multiplies_match_powers(self, quartic):
+        # V, V' and V'' by multiplies against numpy's and Python's powers, within
+        # 2 ulp of max(1, |largest term|): both round the terms before they cancel
+        x = np.linspace(-6.0, 6.0, 100001)
+        cases = ((quartic.evaluate, lambda x: x**4 - x**2, lambda x: x**4),
+                 (quartic.first_derivative, lambda x: 4.0 * x**3 - 2.0 * x, lambda x: 4.0 * abs(x) ** 3),
+                 (quartic.second_derivative, lambda x: 12.0 * x**2 - 2.0, lambda x: 12.0 * x**2))
+        scalars = [float(s) for s in x[::97]] + [0.0, 1.0 / math.sqrt(2.0), -3.0]
+        for got, powers, term in cases:
+            tol = 2.0 * np.spacing(np.maximum(1.0, term(x)))
+            assert np.all(np.abs(got(x) - powers(x)) <= tol)
+            for s in scalars:
+                value = got(s)
+                assert type(value) is float
+                assert abs(value - powers(s)) <= 2.0 * np.spacing(max(1.0, term(s))), s
+
+
+# the three stage lengths of a Yoshida step, in units of dt
+_Y4_COEFFS = (potential_module._Y4_W1, potential_module._Y4_W0, potential_module._Y4_W1)
+
 
 def _two_force_flow(potential, h, dt=1e-3):
-    """flow_period's period and drift with V'(x) evaluated at both ends of every drift."""
+    """flow_period's period and drift from a loop over the three stages, with V'(x)
+    evaluated at both ends of every drift."""
     grad = potential.first_derivative
     x0 = float(np.sqrt(h))
     e0 = float(potential.evaluate(x0))
@@ -91,7 +112,7 @@ def _two_force_flow(potential, h, dt=1e-3):
     x, xi, t, drift = x0, 0.0, 0.0, 0.0
     for i in itertools.count():
         px, pxi, pt = x, xi, t
-        for c in potential_module._Y4_COEFFS:
+        for c in _Y4_COEFFS:
             dtc = c * dt
             xi -= 0.5 * dtc * grad(x)
             x += dtc * xi
@@ -123,6 +144,12 @@ class TestFlowPeriod:
         steps = math.floor(orbit.period / 1e-3) + 1
         assert len(calls) <= 3 * steps + 2
         assert (orbit.period, orbit.energy_drift) == _two_force_flow(quartic, h)
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+    def test_skewed_well_matches_stage_loop(self, skewed, h):
+        # the written-out stages against the loop over them, on a well with no reflection symmetry
+        orbit = flow_period(skewed, h)
+        assert (orbit.period, orbit.energy_drift) == _two_force_flow(skewed, h)
 
     def test_energy_drift_below_tolerance(self, quartic):
         orbit = flow_period(quartic, 1e-3)

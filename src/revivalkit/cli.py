@@ -504,6 +504,8 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
         names = [_point_dir(h) for h in args.h_list]
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep points {args.h_list} share a directory: {names}")
+    if args.command == "sweep" and not math.isfinite(args.E):
+        raise ConfigError(f"--E must be finite, got {args.E:g}")
     if args.command == "revival":
         ps, qs = args.p or [1], args.q or [2]
         if len(ps) != len(qs):

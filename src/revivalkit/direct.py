@@ -23,7 +23,9 @@ allowed region {V <= h} reaches AGMON_DECAY h and V exceeds h + WALL_MARGIN
 (Agmon, Lectures on exponential decay of solutions of second-order elliptic
 equations, 1982).  Window eigenvectors decay like exp(-distance / h), so
 beyond R they are below e^-40 ~ 4e-18 of their peak and the dropped nodes
-change no window eigenpair beyond rounding.
+change no window eigenpair beyond rounding.  The full-domain grid is laid
+before the cut, so it is held to MAX_NODES (10 million) nodes: on the
+quartic, h = 1e-5 is the smallest decade that fits.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .potential import Potential
 WALL_MARGIN = 0.5  # V at the walls must exceed the window top h by this much
 AGMON_DECAY = 40.0  # Agmon distance / h from the allowed region to a cut wall
 MAX_DOUBLINGS = 8  # of the potential's domain, while a side falls short of its wall
+# nodes of the full-domain grid, laid before the Agmon cut: discretize peaks at ~135 B
+# a node, and the quartic's ~42.4 / h nodes fit at h = 1e-5 (4.2M) but not at 1e-6
+MAX_NODES = 10_000_000
 # an even potential's diagonal may differ from its reversal by this many ulps of
 # max|diag|: the linspace nodes are symmetric only to rounding (the quartic reads <= 5)
 SYMMETRY_ULPS = 32
@@ -93,7 +98,9 @@ def discretize(
     The nodes strictly inside the farther of the two walls are kept, the
     same number on each side, so the matrix is the central principal block
     of the full-domain one and x = 0 stays its centre.  If a side's domain
-    ends first, L is doubled until both sides reach their walls.
+    ends first, L is doubled until both sides reach their walls.  A
+    full-domain grid of more than MAX_NODES nodes raises ParameterError
+    before it is laid.
     """
     if order not in STENCILS:
         raise ValueError(f"order must be one of {sorted(STENCILS)}")
@@ -112,6 +119,11 @@ def discretize(
         n_cells = int(math.ceil(2.0 * L / dx))
         if n_cells % 2 == 1:
             n_cells += 1  # keep x = 0 on the grid so reflection is exact
+        if n_cells + 1 > MAX_NODES:
+            raise ParameterError(
+                f"at h={h:g} the grid on [-{L:g}, {L:g}] needs {n_cells + 1} nodes, "
+                f"above the limit of {MAX_NODES}"
+            )
         x = np.linspace(-L, L, n_cells + 1)[1:-1]
         v = np.asarray(potential.evaluate(x), dtype=float)
         c = n_cells // 2 - 1  # x[c] = 0

@@ -320,9 +320,9 @@ class SpectralModel:
 
     def _tunneling_angle_derivatives(self, lam):
         """First three lambda-derivatives of the tunneling angle: in general,
-        _chain through cos(g) and (1 + q)^(-1/2), q = e^{2z}, the product rule
-        for their product u, and _chain through arccos(u), with 1 - u^2 taken
-        without cancellation as (q + sin^2 g) / (1 + q)."""
+        _chain through cos(g), s = (1 + q)^(-1/2) with q = e^{2z} in closed form in
+        p = q / (1 + q) (a power of q overflows), the product rule for u = s cos(g),
+        and _chain through arccos(u), 1 - u^2 taken cancellation-free as (q + sin^2 g) / (1 + q)."""
         c = np.pi / self.w
         if self.potential.even:
             z = c * lam
@@ -335,14 +335,15 @@ class SpectralModel:
                 -0.5 * c**3 * sech * (2.0 * sech**2 - 1.0),
             )
         h = self.h
-        q = np.exp(2.0 * c * lam)
+        q = np.exp(np.clip(2.0 * c * lam, None, 700.0))
         s = (1.0 + q) ** -0.5
         g = self._g(lam)
         cg, sg = np.cos(g), np.sin(g)
         gd = [d * h ** k / 2.0 for k, d in enumerate(self.table.diff.derivatives(lam * h))]
         cd = _chain(gd, (-sg, -cg, sg))
-        sd = _chain([q * (2.0 * c) ** k for k in (1, 2, 3)],
-                    (-0.5 * s**3, 0.75 * s**5, -1.875 * s**7))
+        p = q / (1.0 + q)
+        sd = (-0.5 * s**3 * (q * (2.0 * c)), c * c * p * (3.0 * p - 2.0) * s,
+              -c**3 * p * ((15.0 * p - 18.0) * p + 4.0) * s)
         u = cg * s
         ud = (cd[0] * s + cg * sd[0],
               cd[1] * s + 2.0 * cd[0] * sd[0] + cg * sd[1],
@@ -352,46 +353,20 @@ class SpectralModel:
             raise NumericalError("tunneling angle too close to its endpoint")
         return _chain(ud, (-om**-0.5, -u * om**-1.5, -(1.0 + 2.0 * u * u) * om**-2.5))
 
-    def _tunneling_angle_slope(self, lam):
-        """The first of _tunneling_angle_derivatives, by the same arithmetic."""
-        c = np.pi / self.w
-        if self.potential.even:
-            az = np.abs(c * lam)
-            return 0.5 * c * (2.0 * np.exp(-az) / (1.0 + np.exp(-2.0 * az)))
-        q = np.exp(2.0 * c * lam)
-        s = (1.0 + q) ** -0.5
-        g = self._g(lam)
-        cg, sg = np.cos(g), np.sin(g)
-        cd = -sg * (self.table.diff.derivatives(lam * self.h)[0] / 2.0)
-        sd = -0.5 * s**3 * (q * (2.0 * c))
-        om = (q + sg * sg) / (1.0 + q)
-        if np.any(om < 1e-14):
-            raise NumericalError("tunneling angle too close to its endpoint")
-        return -om**-0.5 * (cd * s + cg * sd)
-
-    def _slope(self, lam, family: str):
-        """The first of _derivatives, by the same arithmetic: digamma alone, no higher chains."""
-        lam = self._check_domain(lam)
-        sign = {"alpha": -1.0, "beta": 1.0}[family]
-        w = self.w
-        d = -(self.table.total.derivatives(lam * self.h)[0] / 2.0) + np.real(digamma(0.5 + 1j * lam / w)) / w
-        return d + self.lnh / w + sign * self._tunneling_angle_slope(lam)
-
-    def _derivatives(self, lam, family: str = "alpha"):
-        """First three lambda-derivatives of one family's phase (y_h or z_h)."""
+    def _derivatives(self, lam, family: str = "alpha", count: int = 3):
+        """The first count (1 or 3) lambda-derivatives of one family's phase (y_h or z_h):
+        trigamma and tetragamma serve orders 2 and 3 alone, so the slope takes digamma only."""
         lam = self._check_domain(lam)
         h, w = self.h, self.w
         sign = {"alpha": -1.0, "beta": 1.0}[family]
         z = 0.5 + 1j * lam / w
-        arg_gamma = (
-            np.real(digamma(z)) / w,
-            -np.imag(trigamma(z)) / w**2,
-            -np.real(tetragamma(z)) / w**3,
-        )
+        arg_gamma = [np.real(digamma(z)) / w]
+        if count > 1:
+            arg_gamma += [-np.imag(trigamma(z)) / w**2, -np.real(tetragamma(z)) / w**3]
         angle = self._tunneling_angle_derivatives(lam)
         total = self.table.total.derivatives(lam * h)
         out = []
-        for k in (1, 2, 3):
+        for k in range(1, count + 1):
             d = -(total[k - 1] * h ** (k - 1) / 2.0) + arg_gamma[k - 1]
             if k == 1:
                 d = d + self.lnh / w
@@ -439,14 +414,17 @@ class SpectralModel:
         domain |lambda h| <= 0.95 delta reaches.  The gaps widen away from the
         barrier top, so each side is sized by the smaller of the slopes at
         lam_center and where the log term's slope ln(h)/w alone would end it,
-        and doubled until it holds n_side roots past the nearest one.
+        and doubled until it holds n_side roots past the nearest one.  A
+        non-finite lam_center raises ParameterError.
         """
+        if not math.isfinite(lam_center):
+            raise ParameterError(f"the ladder's centre must be finite, got {lam_center:g}")
         func, c = self._phase(LADDER_FAMILY), lam_center
         lam_max = 0.95 * self.table.delta / self.h
         reach = (n_side + 3) * TWO_PI
         guess = reach * self.w / abs(self.lnh)
         probe = np.clip(c + np.array([0.0, -guess, guess]), -lam_max, lam_max)
-        slope = np.abs(self._slope(probe, LADDER_FAMILY))
+        slope = np.abs(self._derivatives(probe, LADDER_FAMILY, 1)[0])
         span = reach / np.minimum(slope[0], slope[1:])
         n_grid = max(4097, 16 * (2 * n_side + 8))
         while True:
@@ -477,7 +455,7 @@ class SpectralModel:
                 targets = TWO_PI * np.array(list(roots.keys()), dtype=float)
                 lams = np.array(list(roots.values()))
                 err = np.abs(self._phase(family)(lams) - targets)
-                step = np.spacing(np.abs(targets)) / np.abs(self._slope(lams, family))
+                step = np.spacing(np.abs(targets)) / np.abs(self._derivatives(lams, family, 1)[0])
                 residual = max(residual, float(np.max(err)))
                 resolution = max(resolution, float(np.max(step)))
         return {"max_root_residual_rad": residual, "max_root_resolution_lambda": resolution}

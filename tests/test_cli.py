@@ -196,6 +196,13 @@ class TestSpectrum:
             assert direct["halfwidth"] > V.domain_halfwidth
             assert direct["grid_points"] > full_points
 
+    def test_grid_beyond_the_node_limit_is_parameter_error(self, tmp_path, capsys):
+        # the full-domain grid at h = 1e-12 would hold 4.2e13 nodes: refused before any write
+        argv = ["spectrum", "--h", "1e-12", "--backend", "direct", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "ParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_model_manifest_reports_root_residual(self, tmp_path):
         assert main(["spectrum", "--h", "1e-3", "--out", str(tmp_path)]) == 0
         block = json.loads((tmp_path / "manifest.json").read_text())["model"]
@@ -387,6 +394,14 @@ class TestSweep:
     def test_points_sharing_a_directory_are_config_error(self, tmp_path, capsys, hs):
         # both points would write h=1.000e-03, the second's CSVs over the first's
         assert main(["sweep", "--h", hs, "--out", str(tmp_path / "sw")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_is_config_error(self, tmp_path, capsys, energy):
+        # refused before the point's CSV is written; --E=-inf, since argparse reads a
+        # bare -inf as a flag
+        assert main(["sweep", "--h", "1e-3", f"--E={energy}", "--out", str(tmp_path / "sw")]) == 2
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 

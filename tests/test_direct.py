@@ -8,6 +8,7 @@ import pytest
 
 from revivalkit.direct import (
     AGMON_DECAY,
+    MAX_NODES,
     DiscretizedOperator,
     _count_below,
     _parity_blocks,
@@ -109,6 +110,18 @@ class TestDiscretize:
         bound = resolution_bound(V, 1e-2)
         with pytest.raises(ResolutionError):
             discretize(V, 1e-2, dx=3 * bound)
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-12])
+    def test_grid_beyond_the_node_limit_is_parameter_error(self, h):
+        # at h = 1e-12 the full-domain grid would hold 4.2e13 nodes, 309 TiB
+        with pytest.raises(ParameterError, match="nodes"):
+            discretize(canonical_double_well(), h)
+
+    def test_node_limit_holds_h_1e5(self):
+        # the limit admits the quartic down to h = 1e-5, whose grid is not built here
+        V = canonical_double_well()
+        n_cells = math.ceil(2.0 * V.domain_halfwidth / resolution_bound(V, 1e-5))
+        assert 4e6 < n_cells + n_cells % 2 + 1 <= MAX_NODES
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):

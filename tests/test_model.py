@@ -380,6 +380,27 @@ class TestPhaseFunctions:
             lam = np.linspace(-1, 1, 101)
             assert np.max(np.abs(m._derivatives(lam)[1])) < 10.0
 
+def _general_angle(potential, lam, dps):
+    """(got, mpmath's) per order of the non-even tunneling angle's three derivatives, on a cubic g."""
+    shift = Polynomial([4.0, 1.0])
+    g = 0.003 + 0.01 * shift**2 + 0.001 * shift**3
+    m = SpectralModel(potential, 1e-4)
+    h = m.h
+    # the table difference is 2h g(E/h), so its order-k derivative is 2 h^(1-k) g^(k)
+    diff = SimpleNamespace(derivatives=lambda energy: np.array(
+        [2.0 * h ** (1 - k) * g.deriv(k)(energy / h) for k in (1, 2, 3)]))
+    m._g, m.table = g, dataclasses.replace(m.table, diff=diff)
+    got = m._tunneling_angle_derivatives(lam)
+
+    def angle(t):
+        q = mpmath.exp(2 * mpmath.pi * t / m.w)
+        return mpmath.acos(mpmath.cos(mpmath.polyval(g.coef[::-1].tolist(), t))
+                           / mpmath.sqrt(1 + q))
+
+    with mpmath.workdps(dps):
+        return [(got[order - 1], np.array([float(mpmath.diff(angle, mpmath.mpf(t), order)) for t in lam]))
+                for order in (1, 2, 3)]
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("h", [1e-3, 1e-4])
@@ -413,27 +434,16 @@ class TestDerivativeConsistency:
     def test_general_angle_derivatives_against_mpmath(self, skewed):
         # a cubic g whose minimum 0.003 lies where q = e^{2z} ~ 2e-8, so that
         # 1 - u^2 ~ 1e-5: formed as 1 - u*u, it would lose ~1e-12 relative there
-        shift = Polynomial([4.0, 1.0])
-        g = 0.003 + 0.01 * shift**2 + 0.001 * shift**3
-        m = SpectralModel(skewed, 1e-4)
-        h = m.h
-        # the table difference is 2h g(E/h), so its order-k derivative is 2 h^(1-k) g^(k)
-        diff = SimpleNamespace(derivatives=lambda energy: np.array(
-            [2.0 * h ** (1 - k) * g.deriv(k)(energy / h) for k in (1, 2, 3)]))
-        m._g, m.table = g, dataclasses.replace(m.table, diff=diff)
-        lam = np.linspace(-6.0, 3.0, 46)
-        got = m._tunneling_angle_derivatives(lam)
+        for got, want in _general_angle(skewed, np.linspace(-6.0, 3.0, 46), 40):
+            assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
 
-        def angle(t):
-            q = mpmath.exp(2 * mpmath.pi * t / m.w)
-            return mpmath.acos(mpmath.cos(mpmath.polyval(g.coef[::-1].tolist(), t))
-                               / mpmath.sqrt(1 + q))
-
-        with mpmath.workdps(40):
-            for order in (1, 2, 3):
-                want = np.array([float(mpmath.diff(angle, mpmath.mpf(t), order)) for t in lam])
-                err = np.max(np.abs(got[order - 1] - want))
-                assert err <= 2e-14 * np.max(np.abs(want)), order
+    def test_general_angle_derivatives_far_up_the_ladder(self, skewed):
+        # past lambda ~ 53, (q 2c)^3 overflows while (1 + q)^(-7/2) underflows: the
+        # higher orders of (1 + q)^(-1/2) are taken in p = q / (1 + q), warning-free;
+        # the angle is pi/2 less ~1e-96 at lambda = 100, hence the working precision.
+        # The derivatives fall by 40 decades here, so each is checked relative to itself
+        for got, want in _general_angle(skewed, np.linspace(55.0, 100.0, 10), 160):
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     @pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-8, 1.27e-12])
     def test_slope_is_the_first_derivative_to_the_bit(self, quartic, skewed, h):
@@ -446,8 +456,9 @@ class TestDerivativeConsistency:
             for lam in (np.linspace(-1.0, 1.0, 201), np.linspace(-reach, reach, 301),
                         np.array([-0.4])):
                 for family in ("alpha", "beta"):
-                    want = m._derivatives(lam, family)[0]
-                    assert np.array_equal(m._slope(lam, family), want), (potential.descriptor, family)
+                    want = m._derivatives(lam, family)[:1]
+                    got = m._derivatives(lam, family, 1)
+                    assert np.array_equal(got, want), (potential.descriptor, family)
 
     def test_beta_family_derivative(self, model_1e4):
         lam, step = 0.25, 1e-5
@@ -587,12 +598,57 @@ class TestLadderAndPhaseData:
         # short side is doubled until it holds n_side roots past the nearest
         m = SpectralModel(quartic, 1e-4)
         want = m.solve_ladder(-0.4, 15)
-        real = SpectralModel._slope
-        monkeypatch.setattr(SpectralModel, "_slope",
-                            lambda self, lam, family: 8.0 * real(self, lam, family))
+        real = SpectralModel._derivatives
+        monkeypatch.setattr(SpectralModel, "_derivatives",
+                            lambda self, *args: tuple(8.0 * d for d in real(self, *args)))
         got = m.solve_ladder(-0.4, 15)
         assert got.keys() == want.keys()
         assert max(abs(got[k] - want[k]) for k in got) <= 1e-9
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_is_parameter_error(self, quartic, monkeypatch, center):
+        # refused before any phase evaluation, each of which would call the None
+        # put in _check_domain's place
+        m = SpectralModel(quartic, 1e-3)
+        monkeypatch.setattr(SpectralModel, "_check_domain", None)
+        with pytest.raises(ParameterError, match="finite"):
+            m.solve_ladder(center, 4)
+
+    @pytest.mark.parametrize("h", [1e-4, 1.27e-12])
+    def test_only_phase_data_calls_the_higher_polygammas(self, quartic, h, monkeypatch):
+        # trigamma and tetragamma serve the second and third derivatives alone:
+        # the ladder's slope probe and the root resolution take digamma only
+        calls = {"trigamma": 0, "tetragamma": 0}
+
+        def counted(name):
+            real = getattr(model_module, name)
+
+            def stub(z):
+                calls[name] += 1
+                return real(z)
+            return stub
+
+        for name in calls:
+            monkeypatch.setattr(model_module, name, counted(name))
+        m = SpectralModel(quartic, h)
+        window = m.solve_families()
+        ladder = m.solve_ladder(-0.4, 15)
+        m.root_checks(window, ladder)
+        assert calls == {"trigamma": 0, "tetragamma": 0}
+        m.phase_data(ladder, select_alpha_near(ladder, -0.4))
+        assert calls == {"trigamma": 1, "tetragamma": 1}
+
+    @pytest.mark.parametrize("center", [60.0, 150.0])
+    def test_uneven_ladder_far_from_the_barrier_top(self, skewed, center):
+        # past lambda ~ 53 a power of q = e^{2z} overflows, and past ~160, where the slope
+        # probe of a ladder centred at 150 reaches, q itself: every derivative stays finite
+        m = SpectralModel(skewed, 1e-4)
+        ladder = m.solve_ladder(center, 15)
+        assert len(ladder) == 31
+        phase = m.phase_data(ladder, select_alpha_near(ladder, center))
+        checks = m.root_checks(m.solve_families(), ladder)
+        assert np.isfinite([phase.a1, phase.a2, phase.a3, phase.a3_bound]).all()
+        assert 0.0 < checks["max_root_resolution_lambda"] < 1e-12
 
     def test_ladder_stops_at_the_table_domain(self, quartic):
         # at h = 1e-2 the domain |lambda h| <= 0.95 delta holds fewer than
